@@ -3,11 +3,15 @@
 //! [`BatchedDataflowExecutor`] runs many sequences through one
 //! [`DataflowExecutor`] the way the hardware does: a pool of KV-cache
 //! slots (one per resident sequence), continuous-batching admission and
-//! eviction, and per-round mixed prefill + decode stepping. The schedule
-//! itself comes from `hnlpu-sim`'s [`BatchScheduler`] as a list of
-//! [`RoundPlan`]s, so the functional engine executes *exactly* the slot
-//! assignments the cycle-level timing model priced — the differential
-//! harness in `tests/` asserts the token streams are identical to running
+//! eviction, and per-round mixed prefill + decode stepping. Every round
+//! is decided by `hnlpu-sim`'s [`RoundPolicy`](hnlpu_sim::RoundPolicy), the
+//! same policy the
+//! cycle-level timing model ([`BatchScheduler`]) steps, so the functional
+//! engine executes *exactly* the slot assignments the timing model
+//! priced. [`run_with_scheduler`](BatchedDataflowExecutor::run_with_scheduler)
+//! replays a closed batch through the online server's loop
+//! ([`crate::serve::OnlineServer`]) with no faults; the differential
+//! harnesses in `tests/` assert the token streams are identical to running
 //! [`DataflowExecutor`] per sequence.
 //!
 //! Sequences are mutually independent (each owns its KV state), so rounds
@@ -16,23 +20,21 @@
 //! Both paths are bit-exact: no cross-sequence arithmetic exists.
 
 use crate::dataflow::{CommCounters, DataflowExecutor, DataflowState, GRID};
-use crate::kv_cache::{PageBuf, PrefixCache, PrefixCacheConfig, PrefixStats};
+use crate::kv_cache::{PrefixCache, PrefixCacheConfig, PrefixStats};
 use crate::reference::PrefillStats;
 use crate::sampler::Sampler;
 use crate::scratch::Scratch;
-use hnlpu_sim::scheduler::{BatchScheduler, PrefixOracle, Request, RoundPlan};
+use crate::serve::OnlineServer;
+use hnlpu_sim::scheduler::{BatchScheduler, Completion, Request, SchedulerReport, Step};
 use serde::Serialize;
 use std::fmt;
 use std::time::Instant;
 
 /// Why a batched run was rejected.
 ///
-/// Requests and round plans are external input to the engine (the plans
-/// normally come from `hnlpu-sim`'s scheduler, but [`execute_plan`]
-/// accepts any), so malformed ones surface as typed errors instead of
-/// aborting a process that may be serving hundreds of other sequences.
-///
-/// [`execute_plan`]: BatchedDataflowExecutor::execute_plan
+/// Requests are external input to the engine, so malformed ones surface
+/// as typed errors before any compute instead of aborting a process that
+/// may be serving hundreds of other sequences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchError {
     /// A request's prompt was empty.
@@ -40,41 +42,12 @@ pub enum BatchError {
         /// Offending request index.
         seq: usize,
     },
-    /// A plan referenced a sequence outside the request slice.
-    UnknownSequence {
-        /// Referenced sequence id.
+    /// A request's prompt holds a token id outside the model vocabulary.
+    TokenOutOfVocab {
+        /// Offending request index.
         seq: usize,
-    },
-    /// A plan decoded a sequence that was never admitted (no prefill
-    /// entry ever named it).
-    NotAdmitted {
-        /// Referenced sequence id.
-        seq: usize,
-    },
-    /// A plan gave one sequence two actions in the same round.
-    DuplicateAction {
-        /// Referenced sequence id.
-        seq: usize,
-    },
-    /// A plan prefilled past the end of a sequence's prompt.
-    PrefillOverrun {
-        /// Referenced sequence id.
-        seq: usize,
-    },
-    /// A plan decoded a sequence before its prefill finished.
-    DecodeBeforePrefill {
-        /// Referenced sequence id.
-        seq: usize,
-    },
-    /// A plan decoded a sequence past its decode budget.
-    DecodeOverrun {
-        /// Referenced sequence id.
-        seq: usize,
-    },
-    /// Admission would exceed the engine's KV slot pool.
-    PoolOverflow {
-        /// The engine's slot capacity.
-        slots: usize,
+        /// The first out-of-vocabulary token.
+        token: u32,
     },
     /// The scheduler plans more slots than the engine pools.
     SlotsExceedCapacity {
@@ -82,11 +55,6 @@ pub enum BatchError {
         scheduled: usize,
         /// Slots the engine pools.
         capacity: usize,
-    },
-    /// The plan ended with a sequence still resident (unfinished).
-    Unfinished {
-        /// A sequence left resident.
-        seq: usize,
     },
 }
 
@@ -96,29 +64,11 @@ impl fmt::Display for BatchError {
             BatchError::EmptyPrompt { seq } => {
                 write!(f, "request {seq}: prompt must contain at least one token")
             }
-            BatchError::UnknownSequence { seq } => {
+            BatchError::TokenOutOfVocab { seq, token } => {
                 write!(
                     f,
-                    "plan references sequence {seq} outside the request slice"
+                    "request {seq}: prompt token {token} is outside the vocabulary"
                 )
-            }
-            BatchError::NotAdmitted { seq } => {
-                write!(f, "plan decodes sequence {seq} before it was admitted")
-            }
-            BatchError::DuplicateAction { seq } => {
-                write!(f, "plan gives sequence {seq} two actions in one round")
-            }
-            BatchError::PrefillOverrun { seq } => {
-                write!(f, "plan prefills past the prompt of sequence {seq}")
-            }
-            BatchError::DecodeBeforePrefill { seq } => {
-                write!(f, "plan decodes sequence {seq} before prefill finished")
-            }
-            BatchError::DecodeOverrun { seq } => {
-                write!(f, "plan decodes sequence {seq} past its budget")
-            }
-            BatchError::PoolOverflow { slots } => {
-                write!(f, "admission would exceed the {slots}-slot pool")
             }
             BatchError::SlotsExceedCapacity {
                 scheduled,
@@ -127,9 +77,6 @@ impl fmt::Display for BatchError {
                 f,
                 "scheduler schedules {scheduled} slots but the engine pools {capacity}"
             ),
-            BatchError::Unfinished { seq } => {
-                write!(f, "plan ended with sequence {seq} still resident")
-            }
         }
     }
 }
@@ -168,10 +115,21 @@ impl SequenceRequest {
             self.decode_tokens,
         )
     }
+
+    /// The first prompt token outside a `vocab`-entry embedding table.
+    /// Both serving entry points refuse such a request before any compute:
+    /// its embedding lookup would fail mid-round, taking every co-resident
+    /// stream down with it.
+    pub(crate) fn token_out_of_vocab(&self, vocab: usize) -> Option<u32> {
+        self.prompt
+            .iter()
+            .copied()
+            .find(|&t| usize::try_from(t).map_or(true, |t| t >= vocab))
+    }
 }
 
 /// Typed accounting for fault recovery: sequences evicted by chip
-/// failures and what became of them. Offline plan replay never injects
+/// failures and what became of them. Offline replay never injects
 /// faults, so its reports carry the all-zero default; the online server
 /// fills these in as its [`crate::fault::FaultPlan`] unfolds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -196,7 +154,7 @@ impl RecoveryStats {
 /// Result of one batched run.
 #[derive(Debug, Clone)]
 pub struct BatchRunReport {
-    /// Fault-recovery accounting (all zero for offline plan replay).
+    /// Fault-recovery accounting (all zero for offline replay).
     pub recovery: RecoveryStats,
     /// Decoded token streams, indexed like the input request slice.
     pub outputs: Vec<Vec<u32>>,
@@ -216,7 +174,9 @@ pub struct BatchRunReport {
     pub prefill_panels: u64,
     /// Tokens in the widest prefill panel any sequence ran.
     pub prefill_max_panel: usize,
-    /// Most sequences resident at once (KV slots in use).
+    /// Most live KV slots at once. A sequence takes its slot in the
+    /// first round it receives prefill budget, not at admission, so this
+    /// counts sequences that have started prefill and not yet finished.
     pub peak_resident: usize,
     /// Largest pooled KV footprint at fp16 storage, bytes. This is the
     /// *logical* footprint (what dense caches of the same fill would
@@ -252,15 +212,13 @@ impl BatchRunReport {
     }
 }
 
-/// A resident sequence: its KV state plus generation progress.
-///
-/// Shared between the offline plan replay here and the online serving
-/// loop in [`crate::serve`], so both paths run sequences through the
-/// identical per-round stepping code.
+/// A sequence's KV slot: its KV state plus generation progress. Created
+/// the first round the [`RoundPolicy`](hnlpu_sim::RoundPolicy) gives the
+/// sequence prefill budget
+/// and dropped the round it leaves, so only sequences actually running
+/// hold KV memory.
 #[derive(Debug)]
 pub(crate) struct SeqSlot {
-    /// Index into the caller's request slice (or online sequence id).
-    pub(crate) seq: usize,
     pub(crate) prompt: Vec<u32>,
     pub(crate) target: usize,
     pub(crate) sampler: Sampler,
@@ -269,39 +227,15 @@ pub(crate) struct SeqSlot {
     /// output (valid once anything was stepped), and reusing it keeps the
     /// whole residency of the sequence allocation-free.
     pub(crate) scratch: Scratch,
-    /// Prompt tokens consumed so far.
+    /// Prompt tokens consumed so far (a prefix-cache hit starts past the
+    /// matched positions).
     pub(crate) prefill_pos: usize,
-    /// Leading prompt positions attached from the shared prefix tree
-    /// (never prefilled by this sequence).
-    pub(crate) matched: usize,
-    /// Whether the prefix tree was consulted for this residency.
-    /// Consultation happens in the first round the slot receives prefill
-    /// budget — the same instant the timing planner's oracle fires — so
-    /// online and offline schedules see identical tree states.
-    pub(crate) consulted: bool,
     /// Shared-pool page ids this sequence holds references on, released
     /// exactly once when the sequence leaves its slot.
     pub(crate) grant: Vec<u32>,
     /// Panel accounting for this sequence's prefill chunks.
     pub(crate) prefill_stats: PrefillStats,
     pub(crate) out: Vec<u32>,
-}
-
-impl SeqSlot {
-    pub(crate) fn finished(&self) -> bool {
-        self.prefill_pos == self.prompt.len() && self.out.len() == self.target
-    }
-}
-
-/// What one sequence does during one round. A sequence whose prefill
-/// completes mid-round chains straight into its first decode, so one item
-/// can carry both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Action {
-    /// Prompt tokens to consume first.
-    pub(crate) prefill: u32,
-    /// Then sample one token (stepping it back in unless it is the last).
-    pub(crate) decode: bool,
 }
 
 /// The batched inference engine.
@@ -333,11 +267,11 @@ impl BatchedDataflowExecutor {
     /// instead of being prefilled. `pages_per_block` is forced to the
     /// grid's shard count — one page per chip per committed block.
     ///
-    /// Offline plan replay shares with an *unbounded* page budget so the
-    /// timing plan and the functional execution agree on every match;
+    /// Offline replay ([`run_with_scheduler`](Self::run_with_scheduler))
+    /// shares with an *unbounded* page budget, so its schedule equals the
+    /// analytical planner's with a never-evicting prefix oracle;
     /// `page_budget` governs the online server
-    /// ([`crate::serve::OnlineServer`]), where admission and execution
-    /// are the same loop and budgeted LRU eviction is safe.
+    /// ([`crate::serve::OnlineServer`]), where budgeted LRU eviction runs.
     pub fn with_prefix_cache(mut self, mut cfg: PrefixCacheConfig) -> Self {
         cfg.pages_per_block = GRID * GRID;
         self.prefix = Some(cfg);
@@ -359,371 +293,173 @@ impl BatchedDataflowExecutor {
         self.max_slots
     }
 
-    /// Plan with `scheduler` and execute: the timing model and the
-    /// functional engine consume the same per-round slot assignments.
+    /// Serve a closed batch with `scheduler`'s slot count and round
+    /// timing: a fault-free [`OnlineServer::run_trace`] over `requests`
+    /// stably sorted by arrival, with the prefix cache (if any) on an
+    /// unbounded page budget.
     ///
-    /// Returns the functional report and the scheduler's analytical
-    /// timing report for the identical schedule.
+    /// Returns the functional report and the analytical timing report of
+    /// the schedule that ran. The timing report equals
+    /// [`BatchScheduler::plan_with_prefixes`] under a prefix oracle that
+    /// matches what the engine's cache matched.
     ///
     /// # Errors
     ///
-    /// Returns [`BatchError::SlotsExceedCapacity`] when the scheduler's
-    /// slot count exceeds this engine's capacity, or any error listed for
-    /// [`execute_plan`](Self::execute_plan).
+    /// [`BatchError::SlotsExceedCapacity`] when the scheduler's slot count
+    /// exceeds this engine's capacity; [`BatchError::EmptyPrompt`] or
+    /// [`BatchError::TokenOutOfVocab`] for the first malformed request.
+    /// Nothing runs when an error is returned.
     pub fn run_with_scheduler(
         &self,
         requests: &[SequenceRequest],
         scheduler: &BatchScheduler,
-    ) -> Result<(BatchRunReport, hnlpu_sim::SchedulerReport), BatchError> {
-        if scheduler.slots() > self.max_slots {
-            return Err(BatchError::SlotsExceedCapacity {
+    ) -> Result<(BatchRunReport, SchedulerReport), BatchError> {
+        let mut engine = self.clone();
+        if let Some(cfg) = engine.prefix.as_mut() {
+            cfg.page_budget = usize::MAX;
+        }
+        // The server refuses only a scheduler wider than the slot pool.
+        let mut server = OnlineServer::new(engine, scheduler, requests.len()).map_err(|_| {
+            BatchError::SlotsExceedCapacity {
                 scheduled: scheduler.slots(),
                 capacity: self.max_slots,
-            });
-        }
-        let sim_reqs: Vec<Request> = requests
-            .iter()
-            .map(SequenceRequest::to_sim_request)
-            .collect();
-        let Some(cfg) = self.prefix else {
-            let (timing, plans) = scheduler.plan(&sim_reqs);
-            return Ok((self.execute_plan(requests, &plans)?, timing));
-        };
-        // Offline runs share with an unbounded budget: the planning
-        // oracle and the executing engine replay the identical sequence
-        // of match/commit operations on two fresh trees, so eviction
-        // could only ever diverge through grant-release timing the
-        // planner cannot see. With no eviction, plan and execution agree
-        // on every matched length by construction.
-        let shared = PrefixCacheConfig {
-            page_budget: usize::MAX,
-            ..cfg
-        };
-        let mut oracle = PlanOracle {
-            requests,
-            cache: PrefixCache::new(shared),
-        };
-        let (timing, plans) = scheduler.plan_with_prefixes(&sim_reqs, &mut oracle);
-        let mut cache = PrefixCache::new(shared);
-        Ok((
-            self.execute_plan_impl(requests, &plans, Some(&mut cache))?,
-            timing,
-        ))
-    }
-
-    /// Execute `requests` following `plans` round by round.
-    ///
-    /// Admission assigns the lowest free KV slot the first time a sequence
-    /// appears in a plan; eviction frees the slot in the round the
-    /// sequence finishes, mirroring the sim scheduler's slot semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BatchError`] when a prompt is empty, a plan refers to a
-    /// sequence out of range, asks for more work than a sequence has left,
-    /// decodes a sequence before its prefill finished, overflows the slot
-    /// pool, or leaves a sequence unfinished after the final round.
-    pub fn execute_plan(
-        &self,
-        requests: &[SequenceRequest],
-        plans: &[RoundPlan],
-    ) -> Result<BatchRunReport, BatchError> {
-        self.execute_plan_impl(requests, plans, None)
-    }
-
-    /// [`execute_plan`](Self::execute_plan), optionally reading and
-    /// committing prompt prefixes through a shared [`PrefixCache`]. The
-    /// cache must have been consulted by the planner that produced
-    /// `plans` (see [`run_with_scheduler`](Self::run_with_scheduler));
-    /// admission matches at round start, commits land after the round's
-    /// compute, and a finished sequence's page grant is released in the
-    /// round it leaves its slot.
-    fn execute_plan_impl(
-        &self,
-        requests: &[SequenceRequest],
-        plans: &[RoundPlan],
-        mut cache: Option<&mut PrefixCache>,
-    ) -> Result<BatchRunReport, BatchError> {
+            }
+        })?;
+        let vocab = self.inner.config().vocab_size;
         for (seq, r) in requests.iter().enumerate() {
             if r.prompt.is_empty() {
                 return Err(BatchError::EmptyPrompt { seq });
             }
+            if let Some(token) = r.token_out_of_vocab(vocab) {
+                return Err(BatchError::TokenOutOfVocab { seq, token });
+            }
         }
+        // Server ids follow submission order; `order[id]` is the input
+        // index of the request submitted as `id`.
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by_key(|&i| requests.get(i).map_or(0, |r| r.arrival_s_micros));
+        let sorted: Vec<SequenceRequest> = order
+            .iter()
+            .filter_map(|&i| requests.get(i).cloned())
+            .collect();
+
         let started = Instant::now();
-        let mut pool: Vec<Option<SeqSlot>> = Vec::new();
-        // seq id -> slot index while resident.
-        let mut slot_of: Vec<Option<usize>> = vec![None; requests.len()];
-        let mut outputs: Vec<Vec<u32>> = vec![Vec::new(); requests.len()];
+        let trace = server.run_trace(&sorted, &[]);
+        let wall_s = started.elapsed().as_secs_f64();
+
+        let report = trace.report;
+        let slo = report.slo;
+        let mut outputs = vec![Vec::new(); requests.len()];
         let mut per_sequence_comm = vec![CommCounters::default(); requests.len()];
-        let mut decoded_tokens = 0u64;
-        let mut prefill_tokens = 0u64;
-        let mut prefill_panels = 0u64;
-        let mut prefill_max_panel = 0usize;
-        let mut peak_resident = 0usize;
-        let mut peak_kv_bytes = 0u64;
-        let mut peak_kv_owned = 0u64;
-
-        for plan in plans {
-            // Admit sequences first referenced this round (prefill entries
-            // are FCFS in admission order; decoders were admitted earlier).
-            for &(seq, _) in &plan.prefill {
-                let Some(entry) = slot_of.get(seq) else {
-                    return Err(BatchError::UnknownSequence { seq });
-                };
-                if entry.is_none() {
-                    let slot = self.admit(&mut pool, requests, seq)?;
-                    if let Some(cache) = cache.as_deref_mut() {
-                        if let Some(s) = pool.get_mut(slot).and_then(Option::as_mut) {
-                            Self::attach_match(s, cache);
-                        }
-                    }
-                    if let Some(entry) = slot_of.get_mut(seq) {
-                        *entry = Some(slot);
-                    }
-                }
+        let mut prefill = PrefillStats::default();
+        let mut completions = Vec::with_capacity(requests.len());
+        for (o, &seq) in report.outcomes.into_iter().zip(&order) {
+            prefill.merge(o.prefill);
+            if let Some(comm) = per_sequence_comm.get_mut(seq) {
+                *comm = o.comm;
             }
-            peak_resident = peak_resident.max(pool.iter().flatten().count());
-
-            // Merge this round's assignments into one action per sequence
-            // (a sequence may prefill AND chain into its first decode).
-            let mut actions: Vec<(usize, Action)> = plan
-                .prefill
-                .iter()
-                .map(|&(seq, n)| {
-                    (
-                        seq,
-                        Action {
-                            prefill: n,
-                            decode: false,
-                        },
-                    )
-                })
-                .collect();
-            for &seq in &plan.decode {
-                match actions.iter_mut().find(|(s, _)| *s == seq) {
-                    Some((_, action)) => action.decode = true,
-                    None => actions.push((
-                        seq,
-                        Action {
-                            prefill: 0,
-                            decode: true,
-                        },
-                    )),
-                }
+            if let (Some(finish_s), Some(req)) = (o.finish_s, requests.get(seq)) {
+                completions.push(Completion {
+                    request: req.to_sim_request(),
+                    finish_s,
+                    latency_s: finish_s - o.arrival_s,
+                });
             }
-
-            // Index the pool once, then hand out disjoint &mut borrows.
-            let mut work: Vec<(&mut SeqSlot, Action)> = Vec::new();
-            let mut remaining: Vec<Option<&mut SeqSlot>> =
-                pool.iter_mut().map(Option::as_mut).collect();
-            for (seq, action) in actions {
-                let slot_idx = match slot_of.get(seq) {
-                    Some(&Some(idx)) => idx,
-                    Some(&None) => return Err(BatchError::NotAdmitted { seq }),
-                    None => return Err(BatchError::UnknownSequence { seq }),
-                };
-                // `remaining` is pool-sized and `slot_idx` came from a live
-                // admission, so a miss here means the slot's `&mut` was
-                // already taken: two actions for one sequence.
-                let Some(slot) = remaining.get_mut(slot_idx).and_then(Option::take) else {
-                    return Err(BatchError::DuplicateAction { seq });
-                };
-                if slot.prefill_pos + action.prefill as usize > slot.prompt.len() {
-                    return Err(BatchError::PrefillOverrun { seq });
-                }
-                prefill_tokens += action.prefill as u64;
-                if action.decode {
-                    if slot.prefill_pos + action.prefill as usize != slot.prompt.len() {
-                        return Err(BatchError::DecodeBeforePrefill { seq });
-                    }
-                    if slot.out.len() >= slot.target {
-                        return Err(BatchError::DecodeOverrun { seq });
-                    }
-                    decoded_tokens += 1;
-                }
-                work.push((slot, action));
+            if let Some(out) = outputs.get_mut(seq) {
+                *out = o.tokens;
             }
-
-            self.run_round(work);
-
-            // Commit completed prompts into the shared tree before any
-            // harvest below can drop their state: each new block's pages
-            // are frozen in place (owned → shared, no copy) and later
-            // rounds' admissions match against them.
-            if let Some(cache) = cache.as_deref_mut() {
-                for &(seq, _) in &plan.prefill {
-                    let Some(&Some(idx)) = slot_of.get(seq) else {
-                        continue;
-                    };
-                    let Some(slot) = pool.get_mut(idx).and_then(Option::as_mut) else {
-                        continue;
-                    };
-                    if slot.prefill_pos == slot.prompt.len() {
-                        let SeqSlot {
-                            prompt,
-                            state,
-                            grant,
-                            ..
-                        } = slot;
-                        cache.commit(prompt, |b| state.share_block(b), grant);
-                    }
-                }
-            }
-
-            // Evict finished sequences, harvesting their results.
-            for slot in pool.iter_mut() {
-                if slot.as_ref().is_some_and(SeqSlot::finished) {
-                    let Some(mut done) = slot.take() else {
-                        continue;
-                    };
-                    if let Some(cache) = cache.as_deref_mut() {
-                        cache.release_grant(&mut done.grant);
-                    }
-                    if let Some(entry) = slot_of.get_mut(done.seq) {
-                        *entry = None;
-                    }
-                    if let Some(comm) = per_sequence_comm.get_mut(done.seq) {
-                        *comm = done.state.comm;
-                    }
-                    prefill_panels += done.prefill_stats.panels;
-                    prefill_max_panel = prefill_max_panel.max(done.prefill_stats.max_panel);
-                    if let Some(out) = outputs.get_mut(done.seq) {
-                        *out = done.out;
-                    }
-                }
-            }
-            let kv_bytes: u64 = pool.iter().flatten().map(|s| s.state.kv_bytes_fp16()).sum();
-            peak_kv_bytes = peak_kv_bytes.max(kv_bytes);
-            let kv_owned: u64 = pool
-                .iter()
-                .flatten()
-                .map(|s| s.state.kv_owned_bytes_fp16())
-                .sum();
-            peak_kv_owned = peak_kv_owned.max(kv_owned);
         }
-        if let Some(still) = pool.iter().flatten().next() {
-            return Err(BatchError::Unfinished { seq: still.seq });
-        }
-
-        Ok(BatchRunReport {
-            recovery: RecoveryStats::default(),
+        // Stable: sequences finishing in one round keep admission order.
+        completions.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s));
+        let timing = SchedulerReport::from_rounds(
+            &report.plans,
+            completions,
+            slo.makespan_s,
+            scheduler.slots(),
+        );
+        let run = BatchRunReport {
+            recovery: slo.recovery,
             comm: per_sequence_comm.iter().copied().sum(),
             outputs,
             per_sequence_comm,
-            rounds: plans.len() as u64,
-            decoded_tokens,
-            prefill_tokens,
-            prefill_panels,
-            prefill_max_panel,
-            peak_resident,
-            peak_kv_bytes_fp16: peak_kv_bytes,
-            peak_kv_owned_bytes_fp16: peak_kv_owned,
-            prefix: match &cache {
-                Some(c) => c.stats(),
-                None => PrefixStats::default(),
-            },
-            wall_s: started.elapsed().as_secs_f64(),
-        })
+            rounds: slo.rounds,
+            decoded_tokens: slo.decoded_tokens,
+            prefill_tokens: slo.prefill_tokens,
+            prefill_panels: prefill.panels,
+            prefill_max_panel: prefill.max_panel,
+            peak_resident: slo.peak_resident,
+            peak_kv_bytes_fp16: slo.peak_kv_bytes_fp16,
+            peak_kv_owned_bytes_fp16: slo.peak_kv_owned_bytes_fp16,
+            prefix: slo.prefix,
+            wall_s,
+        };
+        Ok((run, timing))
     }
 
-    /// Match a freshly admitted slot's prompt against the shared tree
-    /// and attach the hit: matched full blocks by reference, the
-    /// copy-on-write boundary page (if any) by copy. The slot then
-    /// prefills only the unmatched suffix.
-    pub(crate) fn attach_match(slot: &mut SeqSlot, cache: &mut PrefixCache) {
-        slot.consulted = true;
-        let m = cache.match_prompt(&slot.prompt);
-        if m.matched == 0 {
-            return;
-        }
-        cache.retain_match(&m, &mut slot.grant);
-        slot.state.attach_prefix(m.matched, &m.blocks, cache.pool());
-        slot.matched = m.matched;
-        slot.prefill_pos = m.matched;
-    }
-
-    /// A fresh resident-sequence slot for `req`, tagged `seq`. Used by
-    /// both the offline plan replay and the online serving loop so every
-    /// sequence starts from identical KV/scratch state.
-    pub(crate) fn new_slot(&self, seq: usize, req: &SequenceRequest) -> SeqSlot {
-        SeqSlot {
-            seq,
-            prompt: req.prompt.clone(),
-            target: req.decode_tokens as usize,
-            sampler: req.sampler.clone(),
-            state: self.inner.new_state(),
-            scratch: self.inner.new_scratch(),
-            prefill_pos: 0,
-            matched: 0,
-            consulted: false,
-            grant: Vec::new(),
-            prefill_stats: PrefillStats::default(),
-            out: Vec::new(),
-        }
-    }
-
-    /// Rebuild an evicted sequence's slot for re-admission: the KV context
-    /// is cleared (the chip holding part of it died) and the prompt is
-    /// extended with every token already emitted, so re-prefilling it
-    /// reconstructs the exact attention context the next decode step
-    /// expects.
+    /// The KV slot a sequence takes the first round it receives prefill
+    /// budget: fresh for a new sequence, or its evicted `carcass` rebuilt.
+    /// With a `cache`, the prompt is matched against the shared tree and
+    /// the hit attached — full blocks by reference, the copy-on-write
+    /// boundary page by copy — so the slot prefills only the unmatched
+    /// suffix. Returns the slot and the matched positions (at most
+    /// `prompt.len() − 1`).
     ///
-    /// Token-exactness: the panel prefill is bit-identical to stepping
-    /// tokens one at a time (`panel_prefill_is_bitwise_per_token_loop`
-    /// pins this), and in the original run every emitted token except the
-    /// last was stepped back into the machine. Re-prefilling
-    /// `prompt ++ out` with logits on the final chunk therefore leaves
-    /// the state and logits exactly where the interrupted sequence's next
-    /// sample would have read them — the recovered stream continues
-    /// bit-for-bit. Sampler state, emitted tokens, and panel stats are
-    /// retained; only the context is rebuilt.
-    pub(crate) fn recover_slot(&self, mut carcass: SeqSlot, req: &SequenceRequest) -> SeqSlot {
-        debug_assert!(
-            carcass.grant.is_empty(),
-            "evicted slot must have released its page grant"
-        );
-        carcass.state.reset_context();
-        let mut prompt = req.prompt.clone();
-        prompt.extend_from_slice(&carcass.out);
-        carcass.prompt = prompt;
-        carcass.prefill_pos = 0;
-        carcass.matched = 0;
-        carcass.consulted = false;
-        carcass
-    }
-
-    /// Place `seq` in the lowest free slot of the pool.
-    fn admit(
+    /// A carcass keeps its sampler state, emitted tokens and buffers; its
+    /// KV context is cleared (the chip holding part of it died) and its
+    /// prompt extended with every token already emitted. Token-exactness:
+    /// the panel prefill is bit-identical to stepping tokens one at a
+    /// time (`panel_prefill_is_bitwise_per_token_loop` pins this), and in
+    /// the original run every emitted token except the last was stepped
+    /// back into the machine. Re-prefilling `prompt ++ out` with logits on
+    /// the final chunk therefore leaves the state and logits exactly where
+    /// the interrupted sequence's next sample would have read them — the
+    /// recovered stream continues bit-for-bit.
+    pub(crate) fn open_slot(
         &self,
-        pool: &mut Vec<Option<SeqSlot>>,
-        requests: &[SequenceRequest],
-        seq: usize,
-    ) -> Result<usize, BatchError> {
-        let req = requests
-            .get(seq)
-            .ok_or(BatchError::UnknownSequence { seq })?;
-        let slot = self.new_slot(seq, req);
-        if let Some((free, entry)) = pool
-            .iter_mut()
-            .enumerate()
-            .find(|(_, entry)| entry.is_none())
-        {
-            *entry = Some(slot);
-            return Ok(free);
+        req: &SequenceRequest,
+        carcass: Option<SeqSlot>,
+        cache: Option<&mut PrefixCache>,
+    ) -> (SeqSlot, usize) {
+        let mut slot = match carcass {
+            Some(mut carcass) => {
+                debug_assert!(
+                    carcass.grant.is_empty(),
+                    "evicted slot must have released its page grant"
+                );
+                carcass.state.reset_context();
+                carcass.prompt = req.prompt.clone();
+                carcass.prompt.extend_from_slice(&carcass.out);
+                carcass.prefill_pos = 0;
+                carcass
+            }
+            None => SeqSlot {
+                prompt: req.prompt.clone(),
+                target: req.decode_tokens as usize,
+                sampler: req.sampler.clone(),
+                state: self.inner.new_state(),
+                scratch: self.inner.new_scratch(),
+                prefill_pos: 0,
+                grant: Vec::new(),
+                prefill_stats: PrefillStats::default(),
+                out: Vec::new(),
+            },
+        };
+        let Some(cache) = cache else {
+            return (slot, 0);
+        };
+        let m = cache.match_prompt(&slot.prompt);
+        if m.matched > 0 {
+            cache.retain_match(&m, &mut slot.grant);
+            slot.state.attach_prefix(m.matched, &m.blocks, cache.pool());
+            slot.prefill_pos = m.matched;
         }
-        if pool.len() >= self.max_slots {
-            return Err(BatchError::PoolOverflow {
-                slots: self.max_slots,
-            });
-        }
-        pool.push(Some(slot));
-        Ok(pool.len() - 1)
+        (slot, m.matched)
     }
 
     /// One pipeline round: every work item advances independently, so this
     /// is where sequence-level parallelism happens.
     #[cfg(feature = "parallel")]
-    pub(crate) fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
+    pub(crate) fn run_round(&self, work: Vec<(&mut SeqSlot, Step)>) {
         use rayon::prelude::*;
         work.into_par_iter()
             .for_each(|(slot, action)| self.advance(slot, action));
@@ -732,7 +468,7 @@ impl BatchedDataflowExecutor {
     /// Serial twin of the rayon round (`--no-default-features`); bit-exact
     /// with the parallel path because sequences share no arithmetic.
     #[cfg(not(feature = "parallel"))]
-    pub(crate) fn run_round(&self, work: Vec<(&mut SeqSlot, Action)>) {
+    pub(crate) fn run_round(&self, work: Vec<(&mut SeqSlot, Step)>) {
         for (slot, action) in work {
             self.advance(slot, action);
         }
@@ -745,10 +481,10 @@ impl BatchedDataflowExecutor {
     /// completes the prompt), then the sampled token is emitted without
     /// being stepped back through the machine when it is the last one
     /// requested.
-    fn advance(&self, slot: &mut SeqSlot, action: Action) {
+    fn advance(&self, slot: &mut SeqSlot, action: Step) {
         if action.prefill > 0 {
-            // Plan validation bounded `prefill_pos + prefill` by the
-            // prompt length before this slot entered the round.
+            // The round policy never assigns more than the unmatched
+            // remainder of the prompt.
             let end = (slot.prefill_pos + action.prefill as usize).min(slot.prompt.len());
             let chunk = slot.prompt.get(slot.prefill_pos..end).unwrap_or(&[]);
             if !chunk.is_empty() {
@@ -768,40 +504,6 @@ impl BatchedDataflowExecutor {
                     .step_with(next, &mut slot.state, &mut slot.scratch);
             }
         }
-    }
-}
-
-/// The timing planner's view of the prefix cache: it holds the real
-/// prompts (the scheduler only knows counts) and mirrors the engine's
-/// match/commit schedule on a tree of placeholder pages, so the plan
-/// charges exactly the suffixes the engine will prefill.
-struct PlanOracle<'a> {
-    requests: &'a [SequenceRequest],
-    cache: PrefixCache,
-}
-
-impl PrefixOracle for PlanOracle<'_> {
-    fn matched_on_admit(&mut self, seq: usize, _req: &Request) -> u32 {
-        match self.requests.get(seq) {
-            Some(r) => self.cache.match_prompt(&r.prompt).matched as u32,
-            None => 0,
-        }
-    }
-
-    fn on_prefill_complete(&mut self, seq: usize, _req: &Request) {
-        let Some(r) = self.requests.get(seq) else {
-            return;
-        };
-        let per_block = self.cache.config().pages_per_block;
-        let mut grant = Vec::new();
-        self.cache.commit(
-            &r.prompt,
-            |_| vec![PageBuf::placeholder(); per_block],
-            &mut grant,
-        );
-        // Planning tracks tree shape only; pages stay alive through the
-        // tree's own references (the budget is unbounded offline).
-        self.cache.release_grant(&mut grant);
     }
 }
 
@@ -947,26 +649,17 @@ mod tests {
     fn prefill_panels_are_counted_per_round_chunk() {
         let eng = engine();
         let requests = vec![SequenceRequest::greedy(0, vec![1, 5, 9, 2, 7], 2)];
-        // A prompt spanning rounds: each round's chunk is one full panel,
-        // never a loop of T=1 steps.
-        let plans = vec![
-            RoundPlan {
-                decode: vec![],
-                prefill: vec![(0, 2)],
-            },
-            RoundPlan {
-                decode: vec![0],
-                prefill: vec![(0, 3)],
-            },
-            RoundPlan {
-                decode: vec![0],
-                prefill: vec![],
-            },
-        ];
-        let report = eng.execute_plan(&requests, &plans).expect("plan executes");
+        // Two slots per round: the prompt spans three rounds (2 + 2 + 1
+        // tokens), and each round's chunk is one full panel, never a loop
+        // of T=1 steps.
+        let (report, timing) = eng
+            .run_with_scheduler(&requests, &scheduler().with_slot_cap(2))
+            .expect("plan executes");
+        assert_eq!(report.rounds, 4);
         assert_eq!(report.prefill_tokens, 5);
-        assert_eq!(report.prefill_panels, 2);
-        assert_eq!(report.prefill_max_panel, 3);
+        assert_eq!(report.prefill_panels, 3);
+        assert_eq!(report.prefill_max_panel, 2);
+        assert_eq!(timing.prefill_tokens, 5);
         let solo = eng.executor().generate_greedy(&requests[0].prompt, 2);
         assert_eq!(report.outputs[0], solo);
     }
@@ -1059,33 +752,55 @@ mod tests {
     }
 
     #[test]
-    fn decode_before_admission_rejected() {
+    fn out_of_vocab_token_rejected_before_compute() {
         let eng = engine();
-        let requests = vec![SequenceRequest::greedy(0, vec![1], 1)];
-        let plans = vec![RoundPlan {
-            decode: vec![0],
-            prefill: vec![],
-        }];
-        let err = eng.execute_plan(&requests, &plans).unwrap_err();
-        assert_eq!(err, BatchError::NotAdmitted { seq: 0 });
+        let vocab = eng.executor().config().vocab_size as u32;
+        let good = vec![
+            SequenceRequest::greedy(0, vec![1, 2], 2),
+            SequenceRequest::greedy(0, vec![9, 4, 4], 3),
+        ];
+        let bad = SequenceRequest::greedy(0, vec![1, vocab + 3], 2);
+        let with_bad = vec![good[0].clone(), bad, good[1].clone()];
+        let err = eng.run_with_scheduler(&with_bad, &scheduler()).unwrap_err();
+        assert_eq!(
+            err,
+            BatchError::TokenOutOfVocab {
+                seq: 1,
+                token: vocab + 3
+            }
+        );
+        // Without it, every other stream equals its solo run.
+        let (report, _) = eng
+            .run_with_scheduler(&good, &scheduler())
+            .expect("plan executes");
+        for (r, out) in good.iter().zip(&report.outputs) {
+            let solo = eng
+                .executor()
+                .generate_greedy(&r.prompt, r.decode_tokens as usize);
+            assert_eq!(&solo, out);
+        }
     }
 
     #[test]
-    fn pool_overflow_rejected() {
-        let card = zoo::dataflow_test_model();
-        let w = ModelWeights::materialize(&card.config, &WeightGenerator::new(2026));
-        let eng = BatchedDataflowExecutor::new(DataflowExecutor::new(w), 1);
+    fn unsorted_arrivals_keep_input_indexing() {
+        let eng = engine();
         let requests = vec![
-            SequenceRequest::greedy(0, vec![1], 2),
-            SequenceRequest::greedy(0, vec![2], 2),
+            SequenceRequest::greedy(3_000_000, vec![4, 2], 3),
+            SequenceRequest::greedy(0, vec![7], 5),
         ];
-        // Hand-build a plan admitting both at once, bypassing the
-        // scheduler's own capacity check.
-        let plans = vec![RoundPlan {
-            decode: vec![],
-            prefill: vec![(0, 1), (1, 1)],
-        }];
-        let err = eng.execute_plan(&requests, &plans).unwrap_err();
-        assert_eq!(err, BatchError::PoolOverflow { slots: 1 });
+        let (report, timing) = eng
+            .run_with_scheduler(&requests, &scheduler())
+            .expect("plan executes");
+        for (r, out) in requests.iter().zip(&report.outputs) {
+            let solo = eng
+                .executor()
+                .generate_greedy(&r.prompt, r.decode_tokens as usize);
+            assert_eq!(&solo, out);
+        }
+        let sim: Vec<Request> = requests
+            .iter()
+            .map(SequenceRequest::to_sim_request)
+            .collect();
+        assert_eq!(timing, scheduler().plan(&sim).0);
     }
 }

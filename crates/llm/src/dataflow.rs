@@ -29,6 +29,7 @@ use crate::sampler::Sampler;
 use crate::scratch::{Scratch, MAX_PREFILL_PANEL};
 use crate::tensor::{add_assign, dot};
 use hnlpu_model::{ModelWeights, PackedFp4Matrix, TransformerConfig};
+use std::sync::Arc;
 
 /// Chip-grid dimension (the paper's 4×4 fabric).
 pub const GRID: usize = 4;
@@ -333,7 +334,7 @@ impl DataflowState {
                 let local_len = (matched + GRID - 1 - chip) / GRID;
                 let shared: Vec<PageRef> = blocks[..full]
                     .iter()
-                    .map(|b| std::sync::Arc::clone(pool.page(b[idx])))
+                    .map(|b| Arc::clone(pool.page(b[idx])))
                     .collect();
                 let boundary_slots = local_len.saturating_sub(full * PAGE_SLOTS);
                 let boundary = if boundary_slots > 0 {
@@ -366,7 +367,9 @@ impl DataflowState {
 /// The dataflow executor.
 #[derive(Debug, Clone)]
 pub struct DataflowExecutor {
-    weights: ModelWeights,
+    /// Shared, so cloning an executor (e.g. to hand it to a server) does
+    /// not copy the weights.
+    weights: Arc<ModelWeights>,
     /// LoRA side-channel adapters (field-programmable HNs beside the
     /// hardwired array), one optional slot per layer on `Wq`.
     q_adapters: Vec<Option<LoraAdapter>>,
@@ -400,7 +403,7 @@ impl DataflowExecutor {
         );
         let layers = weights.config.num_layers;
         DataflowExecutor {
-            weights,
+            weights: Arc::new(weights),
             q_adapters: vec![None; layers],
         }
     }

@@ -17,8 +17,7 @@
 //! per-layer `fill`, so stale slots in reused or copied pages are never
 //! visible.
 //!
-//! [`PrefixCache`] is the facade the batch engine and the online server
-//! use: longest-prefix matching over token ids, commit of finished
+//! [`PrefixCache`] is the facade the serving loop uses: longest-prefix matching over token ids, commit of finished
 //! prompts, per-sequence page grants with exactly-once release, and
 //! deterministic LRU eviction of cold, unreferenced prefixes under a
 //! page budget.
@@ -689,8 +688,8 @@ impl RadixTree {
 pub struct PrefixCacheConfig {
     /// Committed pages the pool may hold before deterministic LRU
     /// eviction of cold, unreferenced prefixes kicks in.
-    /// `usize::MAX` disables eviction (the offline engine uses that so
-    /// planning and execution stay in lockstep).
+    /// `usize::MAX` disables eviction (offline replay uses that, so its
+    /// schedule equals the planner's under a never-evicting oracle).
     pub page_budget: usize,
     /// Pages per committed block — one per shard (`GRID * GRID` for the
     /// dataflow engine).
@@ -736,8 +735,8 @@ pub struct PrefixMatch {
     pub blocks: Vec<Box<[u32]>>,
 }
 
-/// Pool + radix tree + ledger: the prefix-reuse facade shared by the
-/// offline batch engine and the online server.
+/// Pool + radix tree + ledger: the prefix-reuse facade of the serving
+/// loop (online serving and offline replay alike).
 #[derive(Debug)]
 pub struct PrefixCache {
     pool: PagePool,

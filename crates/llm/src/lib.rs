@@ -19,15 +19,16 @@
 //! * [`mod@reference`] — the single-device decoder (GQA + MoE, pre-norm).
 //! * [`dataflow`] — the 4×4-chip executor with explicit partial sums and
 //!   collectives mirroring Figure 10, plus communication counters.
-//! * [`batch`] — the batched engine: a KV-slot pool with continuous-
-//!   batching admission/eviction executing `hnlpu-sim`'s round plans,
-//!   parallel across sequences (feature `parallel`, on by default).
+//! * [`batch`] — the batched engine: per-sequence KV slots stepped
+//!   round by round as `hnlpu-sim`'s round policy decides, parallel
+//!   across sequences (feature `parallel`, on by default), and offline
+//!   replay of a closed batch.
 //! * [`naive`] — the pre-optimization dense-`f32`, allocating decoder kept
 //!   as the benchmark baseline and semantic cross-check.
 //! * [`serve`] — the online serving frontend: bounded-queue admission,
 //!   incremental prefill/decode scheduling on a virtual clock, per-token
 //!   streaming, cancellation, and p50/p99 TTFT/TPOT SLO reporting —
-//!   bit-identical to offline plan replay by construction.
+//!   stepping the same round policy as the analytical planner.
 //! * [`fault`] — deterministic chaos: seeded [`fault::FaultPlan`]s (chip
 //!   kills, stragglers, link faults, request deadlines) that the server
 //!   consumes on its virtual clock, making every degraded-mode run exactly

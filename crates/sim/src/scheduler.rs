@@ -65,6 +65,39 @@ pub struct SchedulerReport {
     pub mean_occupancy: f64,
 }
 
+impl SchedulerReport {
+    /// Tally a schedule over `slots` concurrent sequences from its round
+    /// log: token totals, throughput over `makespan_s`, and mean slot
+    /// occupancy.
+    pub fn from_rounds(
+        plans: &[RoundPlan],
+        completions: Vec<Completion>,
+        makespan_s: f64,
+        slots: usize,
+    ) -> Self {
+        let decoded_tokens: u64 = plans.iter().map(|p| p.decode.len() as u64).sum();
+        let occupancy_sum = plans
+            .iter()
+            .fold(0.0, |acc, p| acc + p.budgeted_slots() as f64 / slots as f64);
+        SchedulerReport {
+            completions,
+            decoded_tokens,
+            prefill_tokens: plans.iter().map(RoundPlan::prefill_slots).sum(),
+            makespan_s,
+            throughput_tokens_per_s: if makespan_s > 0.0 {
+                decoded_tokens as f64 / makespan_s
+            } else {
+                0.0
+            },
+            mean_occupancy: if plans.is_empty() {
+                0.0
+            } else {
+                occupancy_sum / plans.len() as f64
+            },
+        }
+    }
+}
+
 /// One pipeline round's slot assignment.
 ///
 /// Sequence ids index the *input order* of the request slice handed to
@@ -85,7 +118,25 @@ pub struct RoundPlan {
 impl RoundPlan {
     /// Token slots consumed this round (decode + prefill).
     pub fn used_slots(&self) -> u64 {
-        self.decode.len() as u64 + self.prefill.iter().map(|&(_, n)| n as u64).sum::<u64>()
+        self.decode.len() as u64 + self.prefill_slots()
+    }
+
+    /// Prompt tokens prefilled this round.
+    pub fn prefill_slots(&self) -> u64 {
+        self.prefill.iter().map(|&(_, n)| u64::from(n)).sum()
+    }
+
+    /// Token slots drawn from the round's budget:
+    /// [`used_slots`](Self::used_slots) less the chained first decodes,
+    /// which share their sequence's slot with the prefill that completed
+    /// it.
+    pub fn budgeted_slots(&self) -> u64 {
+        let chained = self
+            .decode
+            .iter()
+            .filter(|seq| self.prefill.iter().any(|(p, _)| p == *seq))
+            .count();
+        self.used_slots() - chained as u64
     }
 }
 
@@ -99,21 +150,6 @@ pub struct BatchScheduler {
     /// slots — a degraded grid (dead chips) plans with the surviving
     /// capacity. `None` uses the full machine.
     slot_cap: Option<usize>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Resident {
-    /// Index of the request in the caller's input slice.
-    seq: usize,
-    req: Request,
-    remaining_prefill: u32,
-    remaining_decode: u32,
-    arrival_s: f64,
-    /// Whether the prefix oracle was consulted yet. Consultation is lazy —
-    /// it happens the first round the sequence receives prefill slots,
-    /// which is exactly when the functional engine admits it into a KV
-    /// slot and matches its prompt against the shared tree.
-    consulted: bool,
 }
 
 impl BatchScheduler {
@@ -197,127 +233,240 @@ impl BatchScheduler {
         // advance interval.
         let round_s = self.round_s();
 
-        let mut resident: Vec<Resident> = Vec::with_capacity(slots);
+        let mut policy = RoundPolicy::new(slots);
         let mut completions = Vec::new();
         let mut plans = Vec::new();
-        let mut decoded: u64 = 0;
-        let mut prefilled: u64 = 0;
-        let mut occupancy_sum = 0.0;
-        let mut rounds = 0u64;
         let mut now = 0.0f64;
 
-        while !queue.is_empty() || !resident.is_empty() {
+        while !queue.is_empty() || !policy.is_empty() {
             // Admit arrivals into free sequence slots.
-            while resident.len() < slots {
+            while policy.has_room() {
                 let due =
-                    matches!(queue.front(), Some((_, r)) if r.arrival_s_micros as f64 / 1e6 <= now);
+                    matches!(queue.front(), Some((_, r)) if micros_to_s(r.arrival_s_micros) <= now);
                 let Some((seq, req)) = (if due { queue.pop_front() } else { None }) else {
                     break;
                 };
-                resident.push(Resident {
-                    seq,
-                    req,
-                    remaining_prefill: req.prompt_tokens,
-                    remaining_decode: req.decode_tokens,
-                    arrival_s: req.arrival_s_micros as f64 / 1e6,
-                    consulted: false,
-                });
+                policy.admit(seq, &req);
             }
-            if resident.is_empty() {
+            if policy.is_empty() {
                 // Idle until the next arrival.
                 if let Some((_, r)) = queue.front() {
-                    now = now.max(r.arrival_s_micros as f64 / 1e6);
+                    now = now.max(micros_to_s(r.arrival_s_micros));
                 }
                 continue;
             }
-            // One pipeline round: decode slots first, prefill fills the rest.
             now += round_s;
-            rounds += 1;
-            let mut plan = RoundPlan::default();
-            // Budget/occupancy count decode slots claimed at round start;
-            // `plan.decode` itself is recorded post-prefill below, because
-            // a prefill that completes this round chains into decode.
-            let decoding = resident
-                .iter()
-                .filter(|r| r.remaining_prefill == 0 && r.remaining_decode > 0)
-                .count();
-            let mut prefill_budget = slots.saturating_sub(decoding) as u64;
-            let mut used = decoding as u64;
-            // First-come-first-served prefill: finish early arrivals'
-            // prompts before starting later ones (minimizes makespan and
-            // matches continuous-batching practice).
-            let mut completed: Vec<(usize, Request)> = Vec::new();
-            for r in resident.iter_mut() {
-                if prefill_budget == 0 {
-                    break;
-                }
-                if r.remaining_prefill > 0 {
-                    if !r.consulted {
-                        // Charge only the unmatched suffix: a cache can
-                        // serve at most `prompt_tokens - 1` positions
-                        // because the final prompt token must run to
-                        // produce the first decode's logits. The clamp
-                        // also guarantees a consulted sequence prefills
-                        // at least one token this round.
-                        r.consulted = true;
-                        let matched = oracle
-                            .matched_on_admit(r.seq, &r.req)
-                            .min(r.req.prompt_tokens.saturating_sub(1));
-                        r.remaining_prefill -= matched;
-                    }
-                    let take = r.remaining_prefill.min(prefill_budget as u32);
-                    r.remaining_prefill -= take;
-                    prefill_budget -= take as u64;
-                    prefilled += take as u64;
-                    used += take as u64;
-                    plan.prefill.push((r.seq, take));
-                    if r.remaining_prefill == 0 {
-                        completed.push((r.seq, r.req));
-                    }
-                }
-            }
+            let round = policy.next_round(|seq| match requests.get(seq) {
+                Some(req) => oracle.matched_on_admit(seq, req),
+                None => 0,
+            });
             // Commits land at the end of the round, so every consultation
             // within one round sees the same tree — exactly what the
-            // functional engine does (admit + match at round start, commit
-            // completed prompts after the round's compute).
-            for (seq, req) in &completed {
-                oracle.on_prefill_complete(*seq, req);
-            }
-            occupancy_sum += used as f64 / slots as f64;
-            let mut still = Vec::with_capacity(resident.len());
-            for mut r in resident.into_iter() {
-                if r.remaining_prefill == 0 && r.remaining_decode > 0 {
-                    r.remaining_decode -= 1;
-                    decoded += 1;
-                    plan.decode.push(r.seq);
-                }
-                if r.remaining_prefill == 0 && r.remaining_decode == 0 {
-                    completions.push(Completion {
-                        request: r.req,
-                        finish_s: now,
-                        latency_s: now - r.arrival_s,
-                    });
-                } else {
-                    still.push(r);
+            // functional engine does (match at first prefill budget,
+            // commit completed prompts after the round's compute).
+            for step in round.steps.iter().filter(|s| s.prefill_done) {
+                if let Some(req) = requests.get(step.seq) {
+                    oracle.on_prefill_complete(step.seq, req);
                 }
             }
-            plans.push(plan);
-            resident = still;
+            for req in round.finished.iter().filter_map(|&seq| requests.get(seq)) {
+                let arrival_s = micros_to_s(req.arrival_s_micros);
+                completions.push(Completion {
+                    request: *req,
+                    finish_s: now,
+                    latency_s: now - arrival_s,
+                });
+            }
+            plans.push(round.plan());
         }
-
-        let report = SchedulerReport {
-            decoded_tokens: decoded,
-            prefill_tokens: prefilled,
-            makespan_s: now,
-            throughput_tokens_per_s: if now > 0.0 { decoded as f64 / now } else { 0.0 },
-            mean_occupancy: if rounds > 0 {
-                occupancy_sum / rounds as f64
-            } else {
-                0.0
-            },
-            completions,
-        };
+        let report = SchedulerReport::from_rounds(&plans, completions, now, slots);
         (report, plans)
+    }
+}
+
+/// Virtual-time µs → seconds.
+fn micros_to_s(micros: u64) -> f64 {
+    micros as f64 / 1e6
+}
+
+/// The continuous-batching round policy (§5.2), the one place a round's
+/// slot assignment is decided.
+///
+/// It holds the resident sequences in admission order and, each round,
+/// applies the hardware's policy: decoding sequences claim one slot each,
+/// the remaining slots go to prompt tokens first-come-first-served, a
+/// sequence consults the prefix cache the first round it receives prefill
+/// budget (the answer clamped to `prompt_tokens − 1`, because the last
+/// prompt token must run to produce the first decode's logits), a prompt
+/// that completes chains straight into its first decode, and a sequence
+/// leaves when its last token is out.
+///
+/// Three loops step it: the analytical planner
+/// ([`BatchScheduler::plan_with_prefixes`]), and the functional engine's
+/// online server and offline replay in `hnlpu-llm`. Callers own the clock
+/// and the arrival queue; the policy only knows token counts.
+#[derive(Debug, Clone, Default)]
+pub struct RoundPolicy {
+    slots: usize,
+    resident: Vec<Resident>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    seq: usize,
+    remaining_prefill: u32,
+    remaining_decode: u32,
+    /// Whether the prefix cache was consulted for this residency.
+    consulted: bool,
+}
+
+/// What one sequence does in one round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Step {
+    /// The sequence.
+    pub seq: usize,
+    /// Prompt tokens to prefill first (0 for a pure decode).
+    pub prefill: u32,
+    /// Whether this round's prefill completes the prompt; its blocks are
+    /// committed to the prefix cache at the end of the round.
+    pub prefill_done: bool,
+    /// Then emit one decode token.
+    pub decode: bool,
+}
+
+/// One round decided by [`RoundPolicy::next_round`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Round {
+    /// One entry per sequence the round advances, in admission order.
+    pub steps: Vec<Step>,
+    /// Sequences whose last token came out this round, in admission
+    /// order. They have already left the policy.
+    pub finished: Vec<usize>,
+}
+
+impl Round {
+    /// The round's slot assignment in the [`RoundPlan`] log format.
+    pub fn plan(&self) -> RoundPlan {
+        let steps = self.steps.iter();
+        let decode = steps.clone().filter(|s| s.decode).map(|s| s.seq).collect();
+        let prefill = steps
+            .filter(|s| s.prefill > 0)
+            .map(|s| (s.seq, s.prefill))
+            .collect();
+        RoundPlan { decode, prefill }
+    }
+}
+
+impl RoundPolicy {
+    /// An empty policy over `slots` concurrent sequences.
+    pub fn new(slots: usize) -> Self {
+        RoundPolicy {
+            slots,
+            resident: Vec::new(),
+        }
+    }
+
+    /// Change the slot budget (a degraded grid serves fewer sequences).
+    /// Residents beyond the new budget stay; admission waits for room.
+    pub fn set_slots(&mut self, slots: usize) {
+        self.slots = slots;
+    }
+
+    /// The slot budget.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Resident sequences.
+    pub fn len(&self) -> usize {
+        self.resident.len()
+    }
+
+    /// True when no sequence is resident.
+    pub fn is_empty(&self) -> bool {
+        self.resident.is_empty()
+    }
+
+    /// True while another sequence may be admitted.
+    pub fn has_room(&self) -> bool {
+        self.resident.len() < self.slots
+    }
+
+    /// Resident sequence ids in admission order.
+    pub fn resident(&self) -> impl Iterator<Item = usize> + '_ {
+        self.resident.iter().map(|r| r.seq)
+    }
+
+    /// Admit `seq` with `req`'s token counts behind every resident.
+    /// Callers check [`has_room`](Self::has_room) first.
+    pub fn admit(&mut self, seq: usize, req: &Request) {
+        self.resident.push(Resident {
+            seq,
+            remaining_prefill: req.prompt_tokens,
+            remaining_decode: req.decode_tokens,
+            consulted: false,
+        });
+    }
+
+    /// Drop `seq` (cancelled, retired or evicted). Returns whether it was
+    /// resident.
+    pub fn remove(&mut self, seq: usize) -> bool {
+        let at = self.resident.iter().position(|r| r.seq == seq);
+        at.map(|i| self.resident.remove(i)).is_some()
+    }
+
+    /// Decide and account one round. `consult(seq)` is called once per
+    /// residency, the first round `seq` receives prefill budget, and
+    /// answers how many leading prompt positions a prefix cache already
+    /// holds; that is also the instant a functional engine gives the
+    /// sequence its KV slot.
+    pub fn next_round(&mut self, mut consult: impl FnMut(usize) -> u32) -> Round {
+        // Decode slots are claimed at round start; prefill fills the rest.
+        let decoding = self
+            .resident
+            .iter()
+            .filter(|r| r.remaining_prefill == 0 && r.remaining_decode > 0)
+            .count();
+        let mut budget = u32::try_from(self.slots.saturating_sub(decoding)).unwrap_or(u32::MAX);
+        let mut round = Round::default();
+        for r in &mut self.resident {
+            let mut step = Step {
+                seq: r.seq,
+                ..Step::default()
+            };
+            // First-come-first-served prefill: finish early arrivals'
+            // prompts before starting later ones.
+            if r.remaining_prefill > 0 && budget > 0 {
+                if !r.consulted {
+                    // Charge only the unmatched suffix (the whole prompt
+                    // is still unprefilled here). The clamp also
+                    // guarantees a consulted sequence prefills at least
+                    // one token this round.
+                    r.consulted = true;
+                    r.remaining_prefill -= consult(r.seq).min(r.remaining_prefill - 1);
+                }
+                step.prefill = r.remaining_prefill.min(budget);
+                budget -= step.prefill;
+                r.remaining_prefill -= step.prefill;
+                step.prefill_done = r.remaining_prefill == 0;
+            }
+            // A prompt completed this round chains into its first decode.
+            if r.remaining_prefill == 0 && r.remaining_decode > 0 {
+                r.remaining_decode -= 1;
+                step.decode = true;
+            }
+            if step.prefill > 0 || step.decode {
+                round.steps.push(step);
+            }
+        }
+        self.resident.retain(|r| {
+            let done = r.remaining_prefill == 0 && r.remaining_decode == 0;
+            if done {
+                round.finished.push(r.seq);
+            }
+            !done
+        });
+        round
     }
 }
 
@@ -572,6 +721,60 @@ mod tests {
             }
         }
         assert_eq!(per_seq, [100, 40, 1]);
+    }
+
+    #[test]
+    fn policy_consults_once_at_first_prefill_budget() {
+        let mut policy = RoundPolicy::new(4);
+        policy.admit(0, &Request::new(0, 6, 1));
+        policy.admit(1, &Request::new(0, 6, 1));
+        let mut asked = Vec::new();
+        // Round 1: the whole budget goes to seq 0; seq 1 gets none and is
+        // not consulted yet.
+        let r1 = policy.next_round(|seq| {
+            asked.push(seq);
+            0
+        });
+        assert_eq!(asked, vec![0]);
+        let step = |seq, prefill, decode| Step {
+            seq,
+            prefill,
+            prefill_done: true,
+            decode,
+        };
+        let first = Step {
+            prefill_done: false,
+            ..step(0, 4, false)
+        };
+        assert_eq!(r1.steps, vec![first]);
+        assert!(r1.finished.is_empty());
+        // Round 2: seq 0 completes and chains its decode; seq 1's match of
+        // 9 is clamped to 5, so it prefills its last token and decodes.
+        let r2 = policy.next_round(|seq| {
+            asked.push(seq);
+            9
+        });
+        assert_eq!(asked, vec![0, 1]);
+        assert_eq!(r2.steps, vec![step(0, 2, true), step(1, 1, true)]);
+        assert_eq!(r2.finished, vec![0, 1]);
+        assert!(policy.is_empty());
+    }
+
+    #[test]
+    fn policy_remove_and_slot_budget() {
+        let mut policy = RoundPolicy::new(2);
+        policy.admit(3, &Request::new(0, 1, 5));
+        policy.admit(7, &Request::new(0, 1, 5));
+        assert!(!policy.has_room());
+        assert!(policy.remove(3));
+        assert!(!policy.remove(3));
+        assert_eq!(policy.resident().collect::<Vec<_>>(), vec![7]);
+        policy.set_slots(1);
+        assert!(!policy.has_room());
+        assert_eq!(policy.slots(), 1);
+        let round = policy.next_round(|_| 0);
+        assert_eq!(round.plan().prefill, vec![(7, 1)]);
+        assert_eq!(round.plan().decode, vec![7]);
     }
 
     #[test]

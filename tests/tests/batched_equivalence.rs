@@ -184,7 +184,9 @@ proptest! {
             .map(SequenceRequest::to_sim_request)
             .collect();
         let (_, plans) = scheduler().plan(&sim_reqs);
-        let report = engine.execute_plan(&requests, &plans).expect("plan executes");
+        let (report, _) = engine
+            .run_with_scheduler(&requests, &scheduler())
+            .expect("plan executes");
 
         // Rounds executed == rounds planned.
         prop_assert_eq!(report.rounds, plans.len() as u64);
@@ -234,8 +236,8 @@ fn accounting_reconciles_across_mixed_rounds() {
             .any(|p| !p.prefill.is_empty() && !p.decode.is_empty()),
         "expected at least one mixed prefill/decode round"
     );
-    let report = engine
-        .execute_plan(&requests, &plans)
+    let (report, _) = engine
+        .run_with_scheduler(&requests, &scheduler())
         .expect("plan executes");
     assert_eq!(report.rounds, plans.len() as u64);
     assert_eq!(report.decoded_tokens, 24 + 8);

@@ -2,14 +2,15 @@
 //! serving frontend.
 //!
 //! For arbitrary sorted arrival traces the online [`OnlineServer`] event
-//! loop must reproduce the offline path (`BatchScheduler::plan()` +
-//! `BatchedDataflowExecutor::execute_plan()`) *bit for bit*: identical
-//! token streams per sequence, identical per-round slot assignments
-//! ([`RoundPlan`] log), and identical virtual completion times. Tokens
-//! agree by construction (sequences share no arithmetic); the plan and
-//! timing comparisons are the strong property — they prove the online
-//! incremental scheduler makes exactly the decisions the offline planner
-//! makes with the whole trace in hand.
+//! loop must agree *bit for bit* with two independent oracles: the
+//! analytical planner (`BatchScheduler::plan()`) for the per-round slot
+//! assignments ([`RoundPlan`] log) and the virtual completion times, and
+//! a solo `DataflowExecutor::generate_greedy` run per sequence for the
+//! token streams. Tokens agree because sequences share no arithmetic;
+//! the plan and timing comparisons are the strong property — they prove
+//! the online loop, stepping the round policy incrementally as requests
+//! arrive, makes exactly the decisions the planner makes with the whole
+//! trace in hand.
 //!
 //! Also here: admission-queue properties (backpressure never drops an
 //! admitted sequence; queue-full rejection is typed, not a panic) and
@@ -55,7 +56,8 @@ fn requests_from(specs: &[(Vec<u32>, u32, u64)]) -> Vec<SequenceRequest> {
         .collect()
 }
 
-/// Run the offline path: plan the whole trace, replay it.
+/// The offline oracles: plan the whole trace analytically, and run each
+/// sequence alone through the per-sequence executor.
 fn offline(
     requests: &[SequenceRequest],
 ) -> (
@@ -69,20 +71,22 @@ fn offline(
         .map(SequenceRequest::to_sim_request)
         .collect();
     let (timing, plans) = sched.plan(&sim_reqs);
-    let run = engine()
-        .execute_plan(requests, &plans)
-        .expect("offline plan executes");
+    let solo = DataflowExecutor::new(weights().clone());
+    let outputs = requests
+        .iter()
+        .map(|r| solo.generate_greedy(&r.prompt, r.decode_tokens as usize))
+        .collect();
     let mut finish: Vec<f64> = timing.completions.iter().map(|c| c.finish_s).collect();
     finish.sort_by(f64::total_cmp);
-    (run.outputs, plans, finish)
+    (outputs, plans, finish)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// THE differential property: online incremental scheduling produces
-    /// bit-identical token streams, round plans, and completion times to
-    /// offline whole-trace planning.
+    /// bit-identical round plans and completion times to offline
+    /// whole-trace planning, and token streams identical to solo runs.
     #[test]
     fn online_run_is_bit_identical_to_offline_replay(
         specs in prop::collection::vec(

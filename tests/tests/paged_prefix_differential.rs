@@ -19,7 +19,7 @@ use hnlpu::llm::{
     BatchedDataflowExecutor, DataflowExecutor, PageBuf, PrefixCache, PrefixCacheConfig,
     SequenceRequest,
 };
-use hnlpu::sim::scheduler::{PrefixOracle, Request};
+use hnlpu::sim::scheduler::{PrefixOracle, Request, SchedulerReport};
 use hnlpu::sim::{BatchScheduler, RoundPlan, SimConfig};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -103,8 +103,9 @@ impl PrefixOracle for HarnessOracle<'_> {
     }
 }
 
-/// The offline prefixed RoundPlan log, reconstructed via the public API.
-fn offline_prefixed_plans(requests: &[SequenceRequest]) -> Vec<RoundPlan> {
+/// The offline prefixed timing report and RoundPlan log, reconstructed
+/// via the public API.
+fn offline_prefixed_plan(requests: &[SequenceRequest]) -> (SchedulerReport, Vec<RoundPlan>) {
     let sim_reqs: Vec<Request> = requests
         .iter()
         .map(SequenceRequest::to_sim_request)
@@ -113,8 +114,7 @@ fn offline_prefixed_plans(requests: &[SequenceRequest]) -> Vec<RoundPlan> {
         requests,
         cache: PrefixCache::new(PrefixCacheConfig::default()),
     };
-    let (_, plans) = scheduler().plan_with_prefixes(&sim_reqs, &mut oracle);
-    plans
+    scheduler().plan_with_prefixes(&sim_reqs, &mut oracle)
 }
 
 proptest! {
@@ -153,6 +153,15 @@ proptest! {
         // The timing model charged exactly what the engine prefilled.
         prop_assert_eq!(paged_timing.prefill_tokens, paged.prefill_tokens);
         prop_assert_eq!(dense_timing.decoded_tokens, paged_timing.decoded_tokens);
+        // Both timing reports equal the analytical planner's, field for
+        // field: the dense one under the null oracle, the paged one under
+        // the harness's own placeholder-tree oracle.
+        let sim_reqs: Vec<Request> = requests
+            .iter()
+            .map(SequenceRequest::to_sim_request)
+            .collect();
+        prop_assert_eq!(&dense_timing, &scheduler().plan(&sim_reqs).0);
+        prop_assert_eq!(&paged_timing, &offline_prefixed_plan(&requests).0);
     }
 
     /// Online/offline differential with sharing on: the event-driven
@@ -170,7 +179,8 @@ proptest! {
         let (offline_run, offline_timing) = paged_engine()
             .run_with_scheduler(&requests, &scheduler())
             .expect("offline paged plan executes");
-        let offline_plans = offline_prefixed_plans(&requests);
+        let (offline_prefixed_timing, offline_plans) = offline_prefixed_plan(&requests);
+        prop_assert_eq!(&offline_timing, &offline_prefixed_timing);
 
         let mut server = OnlineServer::new(paged_engine(), &scheduler(), requests.len())
             .expect("slots fit");
