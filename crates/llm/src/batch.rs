@@ -572,8 +572,9 @@ mod tests {
         // executor's ownership invariant: position p lives on chip p % 4.
         let eng = engine();
         let mut state = eng.executor().new_state();
+        let mut scratch = eng.executor().new_scratch();
         for t in 0..7u32 {
-            eng.executor().step(t, &mut state);
+            eng.executor().step_with(t, &mut state, &mut scratch);
         }
         for col in 0..GRID {
             for chip in 0..GRID {

@@ -8,19 +8,16 @@
 //! group combines the partials exactly.
 //!
 //! Weight slices stay in their resident packed-FP4 form: a chip's partial
-//! product is a [`crate::kernels::matvec_block_into`] over its block of the
-//! packed matrix, so nothing is ever dequantized. All per-step
-//! intermediates live in a caller-provided [`Scratch`] arena
-//! ([`step_with`](DataflowExecutor::step_with)); the allocating entry
-//! points remain as wrappers.
+//! product is a [`crate::kernels::matmul_block_into`] over its block of the
+//! packed matrix, so nothing is ever dequantized. Decode and prefill share
+//! one block path — a decode step is a width-1 prefill panel — and every
+//! intermediate lives in a caller-provided [`Scratch`] arena
+//! ([`step_with`](DataflowExecutor::step_with)).
 //!
 //! The executor is verified token-for-token against
 //! [`crate::reference::Transformer`].
 
-use crate::kernels::{
-    matmul_block_into, matmul_into, matvec_block_into, matvec_into, matvec_rows_split_into,
-    ROW_SPLITS,
-};
+use crate::kernels::{matmul_block_into, matmul_into, ROW_SPLITS};
 use crate::kv_cache::{KvCache, PagePool, PageRef, BLOCK_POSITIONS, PAGE_SLOTS};
 use crate::lora::LoraAdapter;
 use crate::ops::{rmsnorm_into, softmax, softmax_in_place, swiglu_in_place, topk_into};
@@ -34,9 +31,10 @@ use std::sync::Arc;
 /// Chip-grid dimension (the paper's 4×4 fabric).
 pub const GRID: usize = 4;
 
-// `col_project` models the four chips of a column with the row-partitioned
-// matvec kernel; its fixed split count must equal the grid dimension for
-// the split boundaries to be the chips' row slices.
+// The degraded-hosting argument (`DegradedLayout`) models the four chips
+// of a column with the row-partitioned matvec kernel; its fixed split
+// count must equal the grid dimension for the split boundaries to be the
+// chips' row slices.
 const _: () = assert!(ROW_SPLITS == GRID, "row splits must match the chip grid");
 
 /// Collective-communication counters, per executor run.
@@ -146,13 +144,13 @@ impl std::error::Error for GridError {}
 /// (its home is chip `r * GRID + c`) → the surviving physical chip that
 /// hosts its row-partition and KV shard.
 ///
-/// Relocation changes *hosting only*, never numerics:
-/// [`matvec_rows_split_into`] always computes the four logical
-/// row-partition partials — whichever chip (or worker thread) hosts
-/// each one — and its `reduce_partials` step sums them in fixed
-/// logical block order. The reduction order is a property of the
-/// logical shard index, not of the hosting chip, so a degraded layout's
-/// results are bit-identical for *any* survivor set
+/// Relocation changes *hosting only*, never numerics: a column
+/// projection always computes the four logical row-partition partials
+/// — whichever chip (or worker thread) hosts each one — and sums them
+/// in fixed logical block order, as
+/// [`crate::kernels::matvec_rows_split_into`] does. The reduction order
+/// is a property of the logical shard index, not of the hosting chip, so
+/// a degraded layout's results are bit-identical for *any* survivor set
 /// (`degraded_hosting_is_bit_exact` below pins this).
 ///
 /// Placement policy, deterministic: prefer the same column (cyclically
@@ -452,64 +450,30 @@ impl DataflowExecutor {
         Scratch::new(self.config())
     }
 
-    /// One decode step through the 16-chip machine.
-    pub fn step(&self, token: u32, state: &mut DataflowState) -> Vec<f32> {
-        let mut scratch = self.new_scratch();
-        self.step_with(token, state, &mut scratch);
-        scratch.logits
-    }
-
-    /// Allocation-free [`step`](Self::step): the logits land in
-    /// `scratch.logits()`.
+    /// One decode step through the 16-chip machine: consume `token`, and
+    /// leave the next-token logits in `scratch.logits()` (each chip
+    /// unembeds a vocabulary shard, all-gathered). Decode is the width-1
+    /// panel of [`prefill_with`](Self::prefill_with), so both run one
+    /// block path and one communication schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is outside the vocabulary.
     // analyze: hot
     pub fn step_with(&self, token: u32, state: &mut DataflowState, scratch: &mut Scratch) {
-        self.hidden_step_with(token, state, scratch);
-        // Unembedding: each chip produces a vocabulary shard, all-gathered.
-        let c = self.config();
-        let h = c.hidden_size;
-        let chips = GRID * GRID;
-        let shard = c.vocab_size.div_ceil(chips);
-        let Scratch { xn, logits, .. } = scratch;
-        for chip in 0..chips {
-            let lo = chip * shard;
-            let hi = ((chip + 1) * shard).min(c.vocab_size);
-            for (t, logit) in logits[lo..hi]
-                .iter_mut()
-                .enumerate()
-                .map(|(i, l)| (lo + i, l))
-            {
-                *logit = dot(xn, &self.weights.embedding[t * h..(t + 1) * h]);
-            }
-        }
-        state.comm.all_gathers += 1;
-        state.comm.bytes += c.vocab_size as u64 * 4;
+        self.prefill_panel_with(&[token], state, scratch, true);
     }
 
-    /// As [`step`](Self::step), but return the final normalized hidden
-    /// state (replicated on all chips after the last all-reduce).
-    pub fn hidden_step(&self, token: u32, state: &mut DataflowState) -> Vec<f32> {
-        let mut scratch = self.new_scratch();
-        self.hidden_step_with(token, state, &mut scratch);
-        scratch.xn
-    }
-
-    /// Allocation-free [`hidden_step`](Self::hidden_step): the normalized
-    /// hidden state lands in `scratch.hidden()`.
+    /// As [`step_with`](Self::step_with), but skip the unembedding: the
+    /// final normalized hidden state (replicated on all chips after the
+    /// last all-reduce) lands in `scratch.hidden()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is outside the vocabulary.
     // analyze: hot
     pub fn hidden_step_with(&self, token: u32, state: &mut DataflowState, scratch: &mut Scratch) {
-        let c = *self.config();
-        let h = c.hidden_size;
-        assert!((token as usize) < c.vocab_size, "token out of vocabulary");
-        // Embedding lookup is local on every chip (replicated dictionary).
-        scratch
-            .x
-            .copy_from_slice(&self.weights.embedding[token as usize * h..(token as usize + 1) * h]);
-        for layer in 0..c.num_layers {
-            self.block_with(layer, state, scratch);
-        }
-        state.position += 1;
-        let Scratch { x, xn, .. } = scratch;
-        rmsnorm_into(x, xn);
+        self.prefill_panel_with(&[token], state, scratch, false);
     }
 
     /// Sequence scoring (§8 future work 3) on the 16-chip machine.
@@ -550,182 +514,6 @@ impl DataflowExecutor {
             *v *= inv;
         }
         pooled
-    }
-
-    /// One transformer block: reads the residual from `scratch.x`, writes
-    /// the updated residual back into it.
-    // analyze: hot
-    fn block_with(&self, layer: usize, state: &mut DataflowState, scratch: &mut Scratch) {
-        let c = *self.config();
-        let w = &self.weights.layers[layer];
-        let h = c.hidden_size;
-        let hd = c.attention.head_dim;
-        let qw = c.attention.q_width();
-        let kvw = c.attention.kv_width();
-        let q_per_col = qw / GRID;
-        let kv_per_col = kvw / GRID;
-        let kv_heads_per_col = c.attention.num_kv_heads / GRID;
-        let q_heads_per_col = c.attention.num_query_heads / GRID;
-        let group = c.attention.group_size();
-        let row_slice = h / GRID;
-        let DataflowState { kv, position, comm } = state;
-        let position = *position;
-        let Scratch {
-            x,
-            xn,
-            xo,
-            y,
-            q,
-            k,
-            v,
-            attn,
-            partial,
-            scores,
-            flash_acc,
-            numer,
-            router_logits,
-            chosen,
-            expert_w,
-            up,
-            gate,
-            down,
-            delta,
-            lora_hidden,
-            rope,
-            partials,
-            ..
-        } = scratch;
-
-        rmsnorm_into(x, xn);
-
-        // Field-programmable side-channel: the rank-r delta is computed
-        // once (every chip would hold the identical value) and sliced per
-        // column below.
-        let has_adapter = match &self.q_adapters[layer] {
-            Some(adapter) => {
-                adapter.delta_into(xn, lora_hidden, delta);
-                true
-            }
-            None => false,
-        };
-
-        // (II) Query projection: chip (r, c) computes a partial over its
-        // row slice of X and its column's slice of Wq; column all-reduce.
-        for col in 0..GRID {
-            let q_col = &mut q[col * q_per_col..(col + 1) * q_per_col];
-            col_project(xn, &w.wq, col, q_per_col, partials, q_col, comm);
-            if has_adapter {
-                for (qv, d) in q_col
-                    .iter_mut()
-                    .zip(delta[col * q_per_col..(col + 1) * q_per_col].iter())
-                {
-                    *qv += d;
-                }
-            }
-            let k_col = &mut k[col * kv_per_col..(col + 1) * kv_per_col];
-            col_project(xn, &w.wk, col, kv_per_col, partials, k_col, comm);
-            let v_col = &mut v[col * kv_per_col..(col + 1) * kv_per_col];
-            col_project(xn, &w.wv, col, kv_per_col, partials, v_col, comm);
-        }
-        // K and V land on chip (position mod 4) of each column ((III)).
-        rope.prepare(position);
-        for col in 0..GRID {
-            comm.reduces += 2;
-            comm.bytes += 2 * (kv_per_col as u64) * 4;
-            // RoPE on the VEX before caching.
-            for head in 0..q_heads_per_col {
-                rope.apply(&mut q[col * q_per_col + head * hd..][..hd]);
-            }
-            for head in 0..kv_heads_per_col {
-                rope.apply(&mut k[col * kv_per_col + head * hd..][..hd]);
-            }
-            let owner = position % GRID;
-            kv[col][owner].append(
-                layer,
-                &k[col * kv_per_col..(col + 1) * kv_per_col],
-                &v[col * kv_per_col..(col + 1) * kv_per_col],
-            );
-        }
-
-        // (IV, V) Attention per column with flash-style partial combine.
-        for col in 0..GRID {
-            column_attention(
-                &q[col * q_per_col..(col + 1) * q_per_col],
-                layer,
-                &kv[col],
-                position + 1,
-                q_heads_per_col,
-                group,
-                hd,
-                scores,
-                flash_acc,
-                numer,
-                &mut attn[col * q_per_col..(col + 1) * q_per_col],
-                comm,
-            );
-        }
-
-        // (VI) Output projection: Wo rows are the column's head block,
-        // columns sliced by row index; row all-reduce + column all-gather.
-        for r in 0..GRID {
-            let slice = &mut xo[r * row_slice..(r + 1) * row_slice];
-            slice.fill(0.0);
-            let part = &mut partial[..row_slice];
-            for col in 0..GRID {
-                // The column's `attn` block indexes rows of Wo at the
-                // block's head offset.
-                matvec_block_into(
-                    &attn[col * q_per_col..(col + 1) * q_per_col],
-                    &w.wo,
-                    col * q_per_col,
-                    r * row_slice..(r + 1) * row_slice,
-                    part,
-                );
-                add_assign(slice, part);
-            }
-            // Row all-reduce of the four column partials.
-            comm.all_reduces += 1;
-            comm.bytes += row_slice as u64 * 4;
-        }
-        // Column all-gather so every chip holds the full Xo.
-        comm.all_gathers += 1;
-        comm.bytes += h as u64 * 4;
-        add_assign(xo, x); // first residual (local on every chip)
-
-        // (VII) Router: weights replicated on all chips, no communication.
-        rmsnorm_into(xo, xn);
-        matvec_into(xn, &w.router, router_logits);
-        topk_into(router_logits, c.moe.experts_per_token, chosen);
-        expert_w.clear();
-        expert_w.extend(chosen.iter().map(|&e| router_logits[e]));
-        softmax_in_place(expert_w);
-
-        // (VIII, IX) Experts: chip i owns experts [i*E/16, (i+1)*E/16);
-        // partial outputs summed by an all-chip all-reduce. Only the
-        // packed bytes of the ≤ experts_per_token chosen experts are ever
-        // touched.
-        let experts_per_chip = c.moe.num_experts / (GRID * GRID);
-        y.fill(0.0);
-        for chip in 0..GRID * GRID {
-            let lo = chip * experts_per_chip;
-            let hi = lo + experts_per_chip;
-            for (&expert, &ew) in chosen.iter().zip(expert_w.iter()) {
-                if expert < lo || expert >= hi {
-                    continue;
-                }
-                matvec_into(xn, &w.up[expert], up);
-                matvec_into(xn, &w.gate[expert], gate);
-                swiglu_in_place(gate, up);
-                matvec_into(gate, &w.down[expert], down);
-                for (yo, &d) in y.iter_mut().zip(down.iter()) {
-                    *yo += ew * d;
-                }
-            }
-        }
-        comm.all_chip_all_reduces += 1;
-        comm.bytes += h as u64 * 4;
-        add_assign(y, xo); // second residual
-        x.copy_from_slice(y);
     }
 
     /// Prefill `prompt` then greedily decode `n` tokens.
@@ -818,7 +606,9 @@ impl DataflowExecutor {
     }
 
     /// Run one panel of ≤ [`MAX_PREFILL_PANEL`] tokens through every layer
-    /// of the machine.
+    /// of the machine, leave the last token's normalized hidden state in
+    /// `scratch.xn`, and unembed it into `scratch.logits` when
+    /// `want_logits` is set.
     // analyze: hot
     fn prefill_panel_with(
         &self,
@@ -842,11 +632,11 @@ impl DataflowExecutor {
             self.panel_block_with(layer, base, t, &mut state.kv, &mut state.comm, scratch);
         }
         state.position += t;
+        let Scratch { xp, xn, logits, .. } = scratch;
+        rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
         if want_logits {
             // Unembed only the panel's last token: each chip produces its
             // vocabulary shard, all-gathered once.
-            let Scratch { xp, xn, logits, .. } = scratch;
-            rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
             let chips = GRID * GRID;
             let shard = c.vocab_size.div_ceil(chips);
             for chip in 0..chips {
@@ -867,14 +657,13 @@ impl DataflowExecutor {
 
     /// One transformer block over a `t`-token panel starting at context
     /// position `base`: reads the residual panel from `scratch.xp`, writes
-    /// the updated panel back into it. Per token this performs exactly the
-    /// chip-level operations of [`block_with`](Self::block_with) — each
-    /// chip's partial product goes through the bit-identical matmul
-    /// kernels, the column reductions add partials in the same chip
-    /// order, and attention/RoPE/MoE math runs per token on the same
-    /// values — so KV shards and residuals are bit-equal to a per-token
-    /// loop, for every chunking. Communication counters advance by the
-    /// per-token schedule times `t`.
+    /// the updated panel back into it. Decode runs it at `t == 1`. Each
+    /// chip's partial product goes through the matmul kernels, which are
+    /// bitwise a loop of width-1 products; the column reductions add
+    /// partials in chip order; and attention/RoPE/MoE math runs per token
+    /// on the same values — so KV shards and residuals are bit-equal for
+    /// every chunking, width-1 included. Communication counters advance
+    /// by the per-token schedule times `t`.
     // analyze: hot
     #[allow(clippy::too_many_arguments)]
     fn panel_block_with(
@@ -1125,33 +914,12 @@ impl DataflowExecutor {
     }
 }
 
-/// Column projection with partial sums: each of the 4 chips of `col`
-/// multiplies its row slice of `x` against its block of the packed matrix;
-/// the column all-reduce sums the partials. The four chips are the four
-/// fixed splits of [`matvec_rows_split_into`], so on large models the
-/// `parallel` build runs them on real worker threads — and the
-/// deterministic zero-then-add reduction keeps the result bit-identical
-/// to the serial chip loop either way.
-// analyze: hot
-fn col_project(
-    x: &[f32],
-    m: &PackedFp4Matrix,
-    col: usize,
-    per_col: usize,
-    partials: &mut [f32],
-    acc: &mut [f32],
-    comm: &mut CommCounters,
-) {
-    matvec_rows_split_into(x, m, col * per_col..(col + 1) * per_col, acc, partials);
-    comm.all_reduces += 1;
-    comm.bytes += per_col as u64 * 4;
-}
-
-/// Panel variant of [`col_project`]: chip `(r, col)` runs one T-wide
-/// matmul over its row slice of the activation panel, and each token's
-/// four partial rows are summed in chip order — the same
-/// zero-then-add-in-order reduction as the per-token column all-reduce,
-/// so every token's output is bit-equal to [`col_project`]'s.
+/// Column projection with partial sums: chip `(r, col)` runs one T-wide
+/// matmul over its row slice of the activation panel and its block of the
+/// packed matrix, and the column all-reduce sums each token's four partial
+/// rows in chip order — the zero-then-add-in-order reduction of
+/// [`crate::kernels::matvec_rows_split_into`], so every token's output is
+/// independent of the panel width.
 // analyze: hot
 #[allow(clippy::too_many_arguments)]
 fn col_project_panel(
@@ -1304,9 +1072,11 @@ mod tests {
         let hnlpu = DataflowExecutor::new(w);
         let mut rc = reference.new_cache();
         let mut ds = hnlpu.new_state();
+        let (mut rs, mut dscratch) = (reference.new_scratch(), hnlpu.new_scratch());
         for &t in &[1u32, 9, 17, 33] {
-            let lr = reference.step(t, &mut rc);
-            let ld = hnlpu.step(t, &mut ds);
+            reference.step_with(t, &mut rc, &mut rs);
+            hnlpu.step_with(t, &mut ds, &mut dscratch);
+            let (lr, ld) = (rs.logits(), dscratch.logits());
             assert_eq!(lr.len(), ld.len());
             for (i, (&a, &b)) in lr.iter().zip(ld.iter()).enumerate() {
                 assert!(
@@ -1341,10 +1111,11 @@ mod tests {
         }
         let mut s1 = hnlpu.new_state();
         let mut s2 = hnlpu.new_state();
+        let mut fresh = hnlpu.new_scratch();
         for t in [1u32, 9, 17] {
-            let fresh = hnlpu.step(t, &mut s1);
+            hnlpu.step_with(t, &mut s1, &mut fresh);
             hnlpu.step_with(t, &mut s2, &mut dirty);
-            assert_eq!(fresh.as_slice(), dirty.logits());
+            assert_eq!(fresh.logits(), dirty.logits());
         }
     }
 
@@ -1371,8 +1142,9 @@ mod tests {
         let w = weights();
         let hnlpu = DataflowExecutor::new(w);
         let mut state = hnlpu.new_state();
+        let mut scratch = hnlpu.new_scratch();
         for t in 0..6 {
-            hnlpu.step(t, &mut state);
+            hnlpu.step_with(t, &mut state, &mut scratch);
         }
         // Positions 0..6: chips 0,1 in each column hold 2; chips 2,3 hold 1.
         for col in 0..GRID {
@@ -1431,6 +1203,9 @@ mod tests {
         assert_eq!(a, b, "LoRA-adapted machines must still agree");
     }
 
+    /// One width-T panel against a `step_with` loop of width-1 panels:
+    /// KV shards and logits are bit-identical, and the comm schedule
+    /// differs only in the unembedding all-gather.
     #[test]
     fn panel_prefill_is_bitwise_per_token_loop() {
         let hnlpu = DataflowExecutor::new(weights());
@@ -1492,6 +1267,8 @@ mod tests {
         }
     }
 
+    /// With a LoRA adapter installed, a width-T panel still matches a loop
+    /// of width-1 panels bit for bit.
     #[test]
     fn lora_adapted_panel_prefill_matches_step_loop() {
         use crate::lora::LoraAdapter;
@@ -1594,7 +1371,7 @@ mod tests {
     /// healthy grid's.
     #[test]
     fn degraded_hosting_is_bit_exact() {
-        use crate::kernels::matvec_block_into;
+        use crate::kernels::{matvec_block_into, matvec_rows_split_into};
         use crate::tensor::add_assign;
         let hnlpu = DataflowExecutor::new(weights());
         let w = &hnlpu.weights.layers[0].wq;

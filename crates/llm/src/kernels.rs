@@ -357,16 +357,18 @@ pub fn matvec_rows_split_into(
     reduce_partials(parts, out, w);
 }
 
-/// Multi-core decode matvec: split the full-matrix product row-wise across
+/// Multi-core matvec: split the full-matrix product row-wise across
 /// workers when the matrix is large enough to pay for the fan-out,
 /// otherwise keep the single accumulation chain of [`matvec_into`].
 ///
 /// The split decision depends only on the matrix shape, and the split path
 /// reduces partials in fixed order ([`matvec_rows_split_into`]), so the
 /// result is deterministic and identical across `parallel`/serial builds.
-/// Small models (every differential test config) stay below
-/// [`ROWS_PARALLEL_MIN_WORK`] and keep the exact per-token numerics they
-/// had before this kernel existed.
+/// At or above [`ROWS_PARALLEL_MIN_WORK`] the four-way reduction is a
+/// different summation order from [`matvec_into`] and [`matmul_into`], so
+/// no engine uses this kernel: both decode through the matmul panel path,
+/// whose summation order does not depend on the panel width. It is kept
+/// for the `rows_parallel` micro-benchmark.
 ///
 /// # Panics
 ///

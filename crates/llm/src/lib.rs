@@ -12,8 +12,9 @@
 //! * [`tensor`] — minimal dense row-major matrix/vector kernels (the naive
 //!   baseline path, LoRA, and dot products).
 //! * [`ops`] — RMSNorm, softmax, SwiGLU, rotary embedding, top-k.
-//! * [`scratch`] — the per-sequence [`Scratch`] arena + rotary table that
-//!   make the steady-state decode step allocation-free.
+//! * [`scratch`] — the per-sequence [`Scratch`] arena of activation
+//!   panels + rotary table that make the steady-state forward pass
+//!   allocation-free.
 //! * [`kv_cache`] — per-layer KV storage.
 //! * [`sampler`] — greedy and seeded-multinomial logit sampling.
 //! * [`mod@reference`] — the single-device decoder (GQA + MoE, pre-norm).

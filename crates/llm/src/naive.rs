@@ -217,9 +217,11 @@ mod tests {
         let packed = Transformer::new(w);
         let mut nc = naive.new_cache();
         let mut pc = packed.new_cache();
+        let mut ps = packed.new_scratch();
         for &t in &[1u32, 9, 17, 33] {
             let ln = naive.step(t, &mut nc);
-            let lp = packed.step(t, &mut pc);
+            packed.step_with(t, &mut pc, &mut ps);
+            let lp = ps.logits();
             for (i, (&a, &b)) in ln.iter().zip(lp.iter()).enumerate() {
                 assert!(
                     (a - b).abs() <= 1e-3 * (1.0 + a.abs()),

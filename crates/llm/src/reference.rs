@@ -4,10 +4,10 @@
 //! The hot path is allocation-free: all projections run the
 //! region-accumulation kernels ([`crate::kernels`]) directly on packed FP4
 //! weights, and every intermediate lives in a caller-provided [`Scratch`]
-//! arena ([`step_with`](Transformer::step_with)). The allocating entry
-//! points ([`step`](Transformer::step) etc.) remain as thin wrappers.
+//! arena ([`step_with`](Transformer::step_with)). Decode and prefill share
+//! one block path: a decode step is a width-1 prefill panel.
 
-use crate::kernels::{matmul_into, matvec_into, matvec_rows_parallel_into};
+use crate::kernels::matmul_into;
 use crate::kv_cache::KvCache;
 use crate::lora::LoraAdapter;
 use crate::ops::{rmsnorm_into, softmax, softmax_in_place, swiglu_in_place, topk_into};
@@ -85,62 +85,27 @@ impl Transformer {
         Scratch::new(self.config())
     }
 
-    /// Embedding lookup for `token`.
+    /// Run one decode step: consume `token` at the cache's current position,
+    /// append its KV, and leave the next-token logits in
+    /// `scratch.logits()`. Decode is the width-1 panel of
+    /// [`prefill_with`](Self::prefill_with), so both run one block path.
     ///
     /// # Panics
     ///
-    /// Panics if `token` exceeds the vocabulary.
-    pub fn embed(&self, token: u32) -> Vec<f32> {
-        let c = self.config();
-        assert!((token as usize) < c.vocab_size, "token out of vocabulary");
-        let h = c.hidden_size;
-        self.weights.embedding[token as usize * h..(token as usize + 1) * h].to_vec()
-    }
-
-    /// Run one decode step: consume `token` at the cache's current position,
-    /// append its KV, and return the next-token logits.
-    pub fn step(&self, token: u32, cache: &mut KvCache) -> Vec<f32> {
-        let mut scratch = self.new_scratch();
-        self.step_with(token, cache, &mut scratch);
-        scratch.logits
-    }
-
-    /// Allocation-free [`step`](Self::step): the logits land in
-    /// `scratch.logits()`.
+    /// Panics if `token` is outside the vocabulary.
     pub fn step_with(&self, token: u32, cache: &mut KvCache, scratch: &mut Scratch) {
-        self.hidden_step_with(token, cache, scratch);
-        let c = self.config();
-        let h = c.hidden_size;
-        // Unembedding (weight-tied): logits over the vocabulary.
-        let Scratch { xn, logits, .. } = scratch;
-        for (t, l) in logits.iter_mut().enumerate() {
-            *l = dot(xn, &self.weights.embedding[t * h..(t + 1) * h]);
-        }
+        self.prefill_panel_with(&[token], cache, scratch, true);
     }
 
-    /// As [`step`](Self::step), but return the final normalized hidden
-    /// state instead of logits (the representation text-embedding uses).
-    pub fn hidden_step(&self, token: u32, cache: &mut KvCache) -> Vec<f32> {
-        let mut scratch = self.new_scratch();
-        self.hidden_step_with(token, cache, &mut scratch);
-        scratch.xn
-    }
-
-    /// Allocation-free [`hidden_step`](Self::hidden_step): the normalized
-    /// hidden state lands in `scratch.hidden()`.
+    /// As [`step_with`](Self::step_with), but skip the unembedding: the
+    /// final normalized hidden state (the representation text-embedding
+    /// uses) lands in `scratch.hidden()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is outside the vocabulary.
     pub fn hidden_step_with(&self, token: u32, cache: &mut KvCache, scratch: &mut Scratch) {
-        let c = *self.config();
-        assert!((token as usize) < c.vocab_size, "token out of vocabulary");
-        let h = c.hidden_size;
-        let position = cache.len();
-        scratch
-            .x
-            .copy_from_slice(&self.weights.embedding[token as usize * h..(token as usize + 1) * h]);
-        for layer in 0..c.num_layers {
-            self.block_with(layer, position, cache, scratch);
-        }
-        let Scratch { x, xn, .. } = scratch;
-        rmsnorm_into(x, xn);
+        self.prefill_panel_with(&[token], cache, scratch, false);
     }
 
     /// Sequence scoring (§8 future work 3): total log-probability the model
@@ -188,8 +153,10 @@ impl Transformer {
     /// Panel prefill: consume `tokens` through the multi-token matmul
     /// kernels, chunked into panels of at most
     /// [`MAX_PREFILL_PANEL`] tokens. Appends every token's KV exactly as a
-    /// [`step_with`](Self::step_with) loop would — **bit-identically**, see
-    /// [`crate::kernels::matmul_block_into`] — but reads each packed weight
+    /// [`step_with`](Self::step_with) loop would — **bit-identically**, for
+    /// every model size: a step is the width-1 panel of the same block, and
+    /// a width-T matmul is bitwise a loop of width-1 ones (see
+    /// [`crate::kernels::matmul_block_into`]) — but reads each packed weight
     /// byte once per panel instead of once per token, and computes logits
     /// (into `scratch.logits()`) only for the final token, and only when
     /// `want_logits` is set.
@@ -238,7 +205,9 @@ impl Transformer {
         stats
     }
 
-    /// Run one panel of ≤ `MAX_PREFILL_PANEL` tokens through every layer.
+    /// Run one panel of ≤ `MAX_PREFILL_PANEL` tokens through every layer,
+    /// leave the last token's normalized hidden state in `scratch.xn`,
+    /// and unembed it into `scratch.logits` when `want_logits` is set.
     // analyze: hot
     fn prefill_panel_with(
         &self,
@@ -260,9 +229,10 @@ impl Transformer {
         for layer in 0..c.num_layers {
             self.panel_block_with(layer, base, t, cache, scratch);
         }
+        let Scratch { xp, xn, logits, .. } = scratch;
+        rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
         if want_logits {
-            let Scratch { xp, xn, logits, .. } = scratch;
-            rmsnorm_into(&xp[(t - 1) * h..t * h], xn);
+            // Unembedding (weight-tied): logits over the vocabulary.
             for (tok, l) in logits.iter_mut().enumerate() {
                 *l = dot(xn, &self.weights.embedding[tok * h..(tok + 1) * h]);
             }
@@ -271,12 +241,11 @@ impl Transformer {
 
     /// One transformer block over a `t`-token panel starting at context
     /// position `base`: reads the residual panel from `scratch.xp`, writes
-    /// the updated panel back into it. Per token this performs exactly the
-    /// operations of [`block_with`](Self::block_with) — projections go
-    /// through the bit-identical matmul kernels, attention/RoPE/MoE math
-    /// runs per token in the same order on the same values — so the KV
-    /// entries and residuals it produces are bit-equal to a per-token
-    /// loop, for every chunking.
+    /// the updated panel back into it. Decode runs it at `t == 1`. The
+    /// projections go through the matmul kernels, which are bitwise a loop
+    /// of width-1 products, and attention/RoPE/MoE math runs per token in
+    /// the same order on the same values — so the KV entries and residuals
+    /// it produces are bit-equal for every chunking, width-1 included.
     // analyze: hot
     fn panel_block_with(
         &self,
@@ -452,115 +421,6 @@ impl Transformer {
         }
     }
 
-    /// One transformer block: reads the residual from `scratch.x`, writes
-    /// the updated residual back into it.
-    fn block_with(
-        &self,
-        layer: usize,
-        position: usize,
-        cache: &mut KvCache,
-        scratch: &mut Scratch,
-    ) {
-        let c = *self.config();
-        let w = &self.weights.layers[layer];
-        let (hd, qh, kvh) = (
-            c.attention.head_dim,
-            c.attention.num_query_heads,
-            c.attention.num_kv_heads,
-        );
-        let group = c.attention.group_size();
-        let Scratch {
-            x,
-            xn,
-            xo,
-            y,
-            q,
-            k,
-            v,
-            attn,
-            scores,
-            router_logits,
-            chosen,
-            expert_w,
-            up,
-            gate,
-            down,
-            delta,
-            lora_hidden,
-            rope,
-            partials,
-            ..
-        } = scratch;
-
-        // --- Attention ---
-        rmsnorm_into(x, xn);
-        matvec_rows_parallel_into(xn, &w.wq, q, partials);
-        if let Some(adapter) = &self.q_adapters[layer] {
-            adapter.delta_into(xn, lora_hidden, delta);
-            add_assign(q, delta);
-        }
-        matvec_rows_parallel_into(xn, &w.wk, k, partials);
-        matvec_rows_parallel_into(xn, &w.wv, v, partials);
-        rope.prepare(position);
-        for head in 0..qh {
-            rope.apply(&mut q[head * hd..(head + 1) * hd]);
-        }
-        for head in 0..kvh {
-            rope.apply(&mut k[head * hd..(head + 1) * hd]);
-        }
-        cache.append(layer, k, v);
-        let ctx = cache.len();
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        attn.fill(0.0);
-        for head in 0..qh {
-            let kv_head = head / group;
-            let qh_vec = &q[head * hd..(head + 1) * hd];
-            scores.clear();
-            scores.extend((0..ctx).map(|p| dot(qh_vec, cache.key(layer, p, kv_head)) * scale));
-            softmax_in_place(scores);
-            let out = &mut attn[head * hd..(head + 1) * hd];
-            for (p, &pr) in scores.iter().enumerate() {
-                let val = cache.value(layer, p, kv_head);
-                for (o, &vv) in out.iter_mut().zip(val.iter()) {
-                    *o += pr * vv;
-                }
-            }
-        }
-        matvec_rows_parallel_into(attn, &w.wo, xo, partials);
-        add_assign(xo, x); // first residual
-
-        // --- MoE FFN ---
-        rmsnorm_into(xo, xn);
-        matvec_into(xn, &w.router, router_logits);
-        topk_into(router_logits, c.moe.experts_per_token, chosen);
-        expert_w.clear();
-        expert_w.extend(chosen.iter().map(|&e| router_logits[e]));
-        softmax_in_place(expert_w);
-
-        y.fill(0.0);
-        for (&expert, &ew) in chosen.iter().zip(expert_w.iter()) {
-            matvec_rows_parallel_into(xn, &w.up[expert], up, partials);
-            matvec_rows_parallel_into(xn, &w.gate[expert], gate, partials);
-            swiglu_in_place(gate, up);
-            matvec_rows_parallel_into(gate, &w.down[expert], down, partials);
-            for (yo, &d) in y.iter_mut().zip(down.iter()) {
-                *yo += ew * d;
-            }
-        }
-        add_assign(y, xo); // second residual
-        x.copy_from_slice(y);
-    }
-
-    /// Unembedding (weight-tied): logits over the vocabulary.
-    pub fn unembed(&self, x: &[f32]) -> Vec<f32> {
-        let c = self.config();
-        let h = c.hidden_size;
-        (0..c.vocab_size)
-            .map(|t| dot(x, &self.weights.embedding[t * h..(t + 1) * h]))
-            .collect()
-    }
-
     /// Prefill `prompt` then greedily decode `n` tokens.
     ///
     /// # Panics
@@ -617,7 +477,9 @@ mod tests {
     fn step_produces_vocab_logits() {
         let m = model();
         let mut cache = m.new_cache();
-        let logits = m.step(3, &mut cache);
+        let mut scratch = m.new_scratch();
+        m.step_with(3, &mut cache, &mut scratch);
+        let logits = scratch.logits();
         assert_eq!(logits.len(), m.config().vocab_size);
         assert_eq!(cache.len(), 1);
         assert!(logits.iter().all(|l| l.is_finite()));
@@ -635,10 +497,11 @@ mod tests {
         }
         let mut c1 = m.new_cache();
         let mut c2 = m.new_cache();
+        let mut fresh = m.new_scratch();
         for t in [1u32, 2, 3] {
-            let fresh = m.step(t, &mut c1);
+            m.step_with(t, &mut c1, &mut fresh);
             m.step_with(t, &mut c2, &mut dirty);
-            assert_eq!(fresh.as_slice(), dirty.logits());
+            assert_eq!(fresh.logits(), dirty.logits());
         }
     }
 
@@ -664,13 +527,14 @@ mod tests {
         // Causal attention: the same token in different contexts produces
         // different logits.
         let m = model();
+        let (mut s1, mut s2) = (m.new_scratch(), m.new_scratch());
         let mut c1 = m.new_cache();
-        m.step(1, &mut c1);
-        let l1 = m.step(7, &mut c1);
+        m.step_with(1, &mut c1, &mut s1);
+        m.step_with(7, &mut c1, &mut s1);
         let mut c2 = m.new_cache();
-        m.step(2, &mut c2);
-        let l2 = m.step(7, &mut c2);
-        assert_ne!(l1, l2);
+        m.step_with(2, &mut c2, &mut s2);
+        m.step_with(7, &mut c2, &mut s2);
+        assert_ne!(s1.logits(), s2.logits());
     }
 
     #[test]
@@ -685,7 +549,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "token out of vocabulary")]
     fn oversized_token_rejected() {
-        model().embed(u32::MAX);
+        let m = model();
+        m.step_with(u32::MAX, &mut m.new_cache(), &mut m.new_scratch());
     }
 
     #[test]
@@ -750,9 +615,9 @@ mod tests {
 
     #[test]
     fn panel_prefill_is_bitwise_per_token_loop() {
-        // The tentpole contract: the multi-token matmul prefill appends
-        // the same KV and produces the same final logits as a step_with
-        // loop, bit for bit.
+        // One width-T panel appends the same KV and produces the same
+        // final logits as a `step_with` loop of width-1 panels, bit for
+        // bit.
         let m = model();
         let prompt: Vec<u32> = (0..23u32).map(|i| (i * 13 + 2) % 48).collect();
         let mut loop_cache = m.new_cache();
@@ -825,6 +690,8 @@ mod tests {
 
     #[test]
     fn panel_prefill_respects_lora_adapter() {
+        // The LoRA delta is added per token, so a width-T panel matches a
+        // loop of width-1 panels bit for bit with an adapter installed.
         use crate::lora::LoraAdapter;
         let mut m = model();
         let c = *m.config();
@@ -842,5 +709,57 @@ mod tests {
         let mut scratch = m.new_scratch();
         m.prefill_with(&prompt, &mut cache, &mut scratch, true);
         assert_eq!(loop_scratch.logits(), scratch.logits());
+    }
+
+    #[test]
+    fn large_projection_prefill_is_bitwise_step_loop() {
+        // `wq` holds exactly 2^21 cells (hidden 1024 × 16 heads × 128), the
+        // size at which the row-split kernels switch to a 4-way partial-sum
+        // reduction. Decode and prefill must still share one accumulation
+        // order: logits and KV of the panel equal the step loop's bit for
+        // bit.
+        use hnlpu_model::{AttentionConfig, MoeConfig};
+        let config = TransformerConfig {
+            hidden_size: 1024,
+            num_layers: 1,
+            attention: AttentionConfig {
+                num_query_heads: 16,
+                num_kv_heads: 2,
+                head_dim: 128,
+            },
+            moe: MoeConfig {
+                num_experts: 2,
+                experts_per_token: 1,
+                intermediate_size: 64,
+            },
+            vocab_size: 64,
+        };
+        assert_eq!(
+            config.hidden_size * config.attention.q_width(),
+            crate::kernels::ROWS_PARALLEL_MIN_WORK
+        );
+        let m = Transformer::new(ModelWeights::materialize(&config, &WeightGenerator::new(7)));
+        let prompt = [3u32, 9, 27, 17];
+        let mut loop_cache = m.new_cache();
+        let mut loop_scratch = m.new_scratch();
+        for &t in &prompt {
+            m.step_with(t, &mut loop_cache, &mut loop_scratch);
+        }
+        let mut panel_cache = m.new_cache();
+        let mut panel_scratch = m.new_scratch();
+        m.prefill_with(&prompt, &mut panel_cache, &mut panel_scratch, true);
+        let differing = loop_scratch
+            .logits()
+            .iter()
+            .zip(panel_scratch.logits())
+            .filter(|(a, b)| a.to_bits() != b.to_bits())
+            .count();
+        assert_eq!(differing, 0, "{differing} of 64 logits differ");
+        for p in 0..prompt.len() {
+            for head in 0..config.attention.num_kv_heads {
+                assert_eq!(loop_cache.key(0, p, head), panel_cache.key(0, p, head));
+                assert_eq!(loop_cache.value(0, p, head), panel_cache.value(0, p, head));
+            }
+        }
     }
 }

@@ -1,10 +1,12 @@
-//! Reusable per-sequence scratch memory for the decode hot path.
+//! Reusable per-sequence scratch memory for the forward pass.
 //!
 //! The paper's machine has no heap: every intermediate of Figure 10 lives
 //! in a fixed on-chip buffer. [`Scratch`] is the software analogue — one
-//! arena per resident sequence holding every intermediate a decode step
-//! needs, sized once from the [`TransformerConfig`] so the steady-state
-//! forward pass performs no allocation at all. Both engines
+//! arena per resident sequence holding the activation panels of one
+//! transformer block, [`MAX_PREFILL_PANEL`] tokens wide, sized once from
+//! the [`TransformerConfig`] so the steady-state forward pass performs no
+//! allocation at all. A decode step uses the first row of each panel (it
+//! is a width-1 prefill panel). Both engines
 //! ([`crate::reference::Transformer`] and
 //! [`crate::dataflow::DataflowExecutor`]) thread the same arena type, and
 //! the batched engine gives each KV slot its own.
@@ -88,78 +90,53 @@ impl RopeTable {
     }
 }
 
-/// Per-sequence scratch arena: every decode-step intermediate, allocated
-/// once. See the module docs.
+/// Per-sequence scratch arena: every panel intermediate, allocated once.
+/// See the module docs.
 #[derive(Debug, Clone)]
 pub struct Scratch {
-    /// Residual stream (hidden).
-    pub(crate) x: Vec<f32>,
-    /// Normalized residual (hidden).
+    /// Normalized final hidden state of the panel's last token (hidden).
     pub(crate) xn: Vec<f32>,
-    /// Post-attention residual (hidden).
-    pub(crate) xo: Vec<f32>,
     /// MoE output accumulator (hidden).
     pub(crate) y: Vec<f32>,
-    /// Query projection (q_width).
-    pub(crate) q: Vec<f32>,
-    /// Key projection (kv_width).
-    pub(crate) k: Vec<f32>,
-    /// Value projection (kv_width).
-    pub(crate) v: Vec<f32>,
-    /// Attention output heads (q_width).
-    pub(crate) attn: Vec<f32>,
-    /// One chip's partial sum (max column/row slice width).
-    pub(crate) partial: Vec<f32>,
     /// Attention scores over the context (grows with the sequence).
     pub(crate) scores: Vec<f32>,
     /// Flash-attention per-chip value accumulators (GRID × head_dim).
     pub(crate) flash_acc: Vec<f32>,
     /// Flash-attention combine numerator (head_dim).
     pub(crate) numer: Vec<f32>,
-    /// Router logits (num_experts).
-    pub(crate) router_logits: Vec<f32>,
-    /// Top-k expert indices (experts_per_token).
+    /// Top-k expert indices of one token (experts_per_token).
     pub(crate) chosen: Vec<usize>,
-    /// Softmaxed expert weights (experts_per_token).
+    /// Softmaxed expert weights of one token (experts_per_token).
     pub(crate) expert_w: Vec<f32>,
-    /// Expert up projection (intermediate).
-    pub(crate) up: Vec<f32>,
-    /// Expert gate projection, overwritten by the SwiGLU (intermediate).
-    pub(crate) gate: Vec<f32>,
-    /// Expert down projection (hidden).
-    pub(crate) down: Vec<f32>,
     /// LoRA side-channel delta (q_width).
     pub(crate) delta: Vec<f32>,
     /// LoRA rank-r intermediate (resized to the adapter's rank on use).
     pub(crate) lora_hidden: Vec<f32>,
     /// Shared rotary table.
     pub(crate) rope: RopeTable,
-    /// Next-token logits of the most recent step (vocab_size).
+    /// Next-token logits of the most recent step or panel (vocab_size).
     pub(crate) logits: Vec<f32>,
-    /// Row-partitioned matvec partials (`kernels::ROW_SPLITS` × widest
-    /// projection output).
-    pub(crate) partials: Vec<f32>,
-    /// Prefill residual panel (T × hidden).
+    /// Residual panel (T × hidden).
     pub(crate) xp: Vec<f32>,
-    /// Prefill normalized panel (T × hidden).
+    /// Normalized panel (T × hidden).
     pub(crate) xnp: Vec<f32>,
-    /// Prefill post-attention residual panel (T × hidden).
+    /// Post-attention residual panel (T × hidden).
     pub(crate) xop: Vec<f32>,
-    /// Prefill query panel (T × q_width).
+    /// Query panel (T × q_width).
     pub(crate) qp: Vec<f32>,
-    /// Prefill key panel (T × kv_width).
+    /// Key panel (T × kv_width).
     pub(crate) kp: Vec<f32>,
-    /// Prefill value panel (T × kv_width).
+    /// Value panel (T × kv_width).
     pub(crate) vp: Vec<f32>,
-    /// Prefill attention-output panel (T × q_width).
+    /// Attention-output panel (T × q_width).
     pub(crate) attnp: Vec<f32>,
-    /// Prefill partial-product panel (T × max per-chip slice width).
+    /// Per-chip partial-product panel (T × max per-chip slice width).
     pub(crate) partp: Vec<f32>,
-    /// Prefill router-logit panel (T × num_experts).
+    /// Router-logit panel (T × num_experts).
     pub(crate) routerp: Vec<f32>,
-    /// Prefill top-k expert choices (T × experts_per_token).
+    /// Top-k expert choices (T × experts_per_token).
     pub(crate) chosenp: Vec<usize>,
-    /// Prefill softmaxed expert weights (T × experts_per_token).
+    /// Softmaxed expert weights (T × experts_per_token).
     pub(crate) expertwp: Vec<f32>,
     /// Expert-grouped activation gather (≤ T rows × hidden); reused for
     /// the group's down-projection outputs.
@@ -179,45 +156,31 @@ pub struct Scratch {
 impl Scratch {
     /// An arena sized for one sequence of `config`'s architecture.
     // analyze: cold — the arena is allocated once up front; every
-    // per-token fn below reuses these buffers.
+    // forward pass reuses these buffers.
     pub fn new(config: &TransformerConfig) -> Self {
         let h = config.hidden_size;
         let qw = config.attention.q_width();
         let kvw = config.attention.kv_width();
         let hd = config.attention.head_dim;
         let grid = crate::dataflow::GRID;
-        // Widest per-chip slice either engine hands to `partial`.
+        // Widest per-chip slice the dataflow engine hands to `partp`.
         let slice = (qw / grid).max(kvw / grid).max(h / grid).max(1);
         let inter = config.moe.intermediate_size;
         let experts = config.moe.num_experts;
         let per_tok = config.moe.experts_per_token;
-        // Widest output a row-partitioned projection produces.
-        let maxw = qw.max(kvw).max(h).max(inter).max(experts);
         let t = MAX_PREFILL_PANEL;
         Scratch {
-            x: vec![0.0; h],
             xn: vec![0.0; h],
-            xo: vec![0.0; h],
             y: vec![0.0; h],
-            q: vec![0.0; qw],
-            k: vec![0.0; kvw],
-            v: vec![0.0; kvw],
-            attn: vec![0.0; qw],
-            partial: vec![0.0; slice],
             scores: Vec::new(),
             flash_acc: vec![0.0; grid * hd],
             numer: vec![0.0; hd],
-            router_logits: vec![0.0; config.moe.num_experts],
             chosen: Vec::with_capacity(config.moe.experts_per_token),
             expert_w: Vec::with_capacity(config.moe.experts_per_token),
-            up: vec![0.0; config.moe.intermediate_size],
-            gate: vec![0.0; config.moe.intermediate_size],
-            down: vec![0.0; h],
             delta: vec![0.0; qw],
             lora_hidden: Vec::new(),
             rope: RopeTable::new(hd),
             logits: vec![0.0; config.vocab_size],
-            partials: vec![0.0; crate::kernels::ROW_SPLITS * maxw],
             xp: vec![0.0; t * h],
             xnp: vec![0.0; t * h],
             xop: vec![0.0; t * h],
@@ -297,9 +260,11 @@ mod tests {
     fn scratch_sizes_follow_config() {
         let c = zoo::dataflow_test_model().config;
         let s = Scratch::new(&c);
-        assert_eq!(s.x.len(), c.hidden_size);
-        assert_eq!(s.q.len(), c.attention.q_width());
+        let t = MAX_PREFILL_PANEL;
+        assert_eq!(s.xn.len(), c.hidden_size);
         assert_eq!(s.logits.len(), c.vocab_size);
-        assert_eq!(s.router_logits.len(), c.moe.num_experts);
+        assert_eq!(s.xp.len(), t * c.hidden_size);
+        assert_eq!(s.qp.len(), t * c.attention.q_width());
+        assert_eq!(s.routerp.len(), t * c.moe.num_experts);
     }
 }

@@ -4,19 +4,22 @@
 //! The static analyzer proves no *allocation call* is reachable from the
 //! decode hot path; this test proves the *allocator* agrees. A counting
 //! `#[global_allocator]` wraps the system allocator, and after a warmup
-//! generation the steady-state `step_with` loop must perform exactly
+//! generation the steady-state `step_with` loop of both engines (the
+//! dataflow executor and the reference transformer) must perform exactly
 //! zero heap allocations — under both the rayon and serial builds
 //! (`--features count-alloc` / `--no-default-features --features
-//! count-alloc,…`).
+//! count-alloc,…`). The counter is process-wide, so the tests take a
+//! lock and never measure while another test allocates.
 //!
 //! Run with: `cargo test -p hnlpu-integration --features count-alloc`
 
 #![cfg(feature = "count-alloc")]
 
-use hnlpu::llm::{DataflowExecutor, PrefixCache, PrefixCacheConfig};
+use hnlpu::llm::{DataflowExecutor, PrefixCache, PrefixCacheConfig, Transformer};
 use hnlpu::model::{zoo, ModelWeights, WeightGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// System allocator with a relaxed allocation counter.
 struct CountingAlloc;
@@ -45,8 +48,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Held for a whole test, so no other test allocates inside a measured
+/// window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn steady_state_decode_performs_zero_allocations() {
+    let _serial = serial();
     const PROMPT: &[u32] = &[2, 4, 8, 16];
     const WARMUP_STEPS: usize = 4;
     const MEASURED_STEPS: usize = 16;
@@ -101,6 +115,7 @@ fn steady_state_decode_performs_zero_allocations() {
 /// exactly as it does at admission in the serving layer.
 #[test]
 fn prefix_hit_decode_through_shared_pages_performs_zero_allocations() {
+    let _serial = serial();
     const WARMUP_STEPS: usize = 4;
     const MEASURED_STEPS: usize = 16;
 
@@ -167,6 +182,48 @@ fn prefix_hit_decode_through_shared_pages_performs_zero_allocations() {
     cache.release_grant(&mut donor_grant);
     cache.flush();
     assert!(cache.ledger_balanced(), "every page freed exactly once");
+}
+
+/// The reference engine decodes through the same width-1 panel path as
+/// the dataflow executor; its steady-state loop is allocation-free too.
+#[test]
+fn reference_steady_state_decode_performs_zero_allocations() {
+    let _serial = serial();
+    const PROMPT: &[u32] = &[2, 4, 8, 16];
+    const WARMUP_STEPS: usize = 4;
+    const MEASURED_STEPS: usize = 16;
+
+    let card = zoo::test_model();
+    let weights = ModelWeights::materialize(&card.config, &WeightGenerator::new(42));
+    let engine = Transformer::new(weights);
+    let mut cache = engine.new_cache();
+    let mut scratch = engine.new_scratch();
+    let horizon = PROMPT.len() + WARMUP_STEPS + MEASURED_STEPS;
+    cache.reserve(horizon);
+    scratch.reserve_context(horizon);
+
+    let mut token = *PROMPT.last().expect("non-empty prompt");
+    for &t in PROMPT {
+        engine.step_with(t, &mut cache, &mut scratch);
+    }
+    for _ in 0..WARMUP_STEPS {
+        engine.step_with(token, &mut cache, &mut scratch);
+        token = argmax(scratch.logits());
+    }
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..MEASURED_STEPS {
+        engine.step_with(token, &mut cache, &mut scratch);
+        token = argmax(scratch.logits());
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "reference steady-state decode allocated {} times over {MEASURED_STEPS} steps",
+        after - before
+    );
 }
 
 /// Greedy next token without allocating.
