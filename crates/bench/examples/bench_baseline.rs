@@ -12,9 +12,9 @@
 //! `--check` is the CI regression gate: it validates the committed
 //! trajectory's shape, re-runs the suite (honoring `HNLPU_BENCH_QUICK`),
 //! and fails (exit 1) when a measured headline ratio falls below the
-//! latest committed point's by more than the tolerance band
-//! (`HNLPU_BENCH_TOLERANCE`, default `0.5` — measured must stay above
-//! half the committed ratio). Ratios are machine-relative, so the gate
+//! latest committed point's by more than the fixed tolerance band
+//! (`TOLERANCE` = `0.5` — measured must stay above half the committed
+//! ratio). Ratios are machine-relative, so the gate
 //! holds across runner generations where raw ns/op would not.
 //!
 //! ```text
@@ -29,9 +29,9 @@ use serde_json::Value;
 
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_inference.json");
 const SCHEMA: &str = "hnlpu-bench/inference/v2";
-/// Environment variable overriding the `--check` tolerance band.
-const TOLERANCE_ENV: &str = "HNLPU_BENCH_TOLERANCE";
-const DEFAULT_TOLERANCE: f64 = 0.5;
+/// The `--check` tolerance band: a measured ratio below `TOLERANCE` ×
+/// the committed ratio fails the gate.
+const TOLERANCE: f64 = 0.5;
 
 /// The headline ratios the trajectory records and `--check` gates on:
 /// `(json key, numerator label, denominator label)` — each ratio is
@@ -189,13 +189,6 @@ fn write_trajectory(traj: &[Value]) {
         .unwrap_or_else(|e| panic!("cannot write {BASELINE_PATH}: {e}"));
 }
 
-fn tolerance() -> f64 {
-    std::env::var(TOLERANCE_ENV)
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_TOLERANCE)
-}
-
 /// CI gate: structural validation, then measure and compare the headline
 /// ratios against the latest committed point.
 fn check() {
@@ -211,7 +204,6 @@ fn check() {
 
     let mut c = Criterion::default();
     inference_suite(&mut c);
-    let tol = tolerance();
     let mut regressed = false;
     for &(key, _, _) in RATIOS {
         // Older points may predate a ratio; gate only on what the latest
@@ -222,7 +214,7 @@ fn check() {
         let Some(measured) = measured_ratio(c.results(), key) else {
             continue;
         };
-        let floor = committed * tol;
+        let floor = committed * TOLERANCE;
         let verdict = if measured.is_nan() || measured < floor {
             regressed = true;
             "REGRESSION"
@@ -235,12 +227,11 @@ fn check() {
     }
     if regressed {
         eprintln!(
-            "bench regression beyond tolerance {tol} against trajectory point '{last_id}' \
-             (override band with {TOLERANCE_ENV})"
+            "bench regression beyond tolerance {TOLERANCE} against trajectory point '{last_id}'"
         );
         std::process::exit(1);
     }
-    println!("bench check passed (tolerance {tol})");
+    println!("bench check passed (tolerance {TOLERANCE})");
 }
 
 fn emit(id: &str) {

@@ -131,7 +131,7 @@ impl SequenceRequest {
 /// Typed accounting for fault recovery: sequences evicted by chip
 /// failures and what became of them. Offline replay never injects
 /// faults, so its reports carry the all-zero default; the online server
-/// fills these in as its [`crate::fault::FaultPlan`] unfolds.
+/// folds these from its event log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RecoveryStats {
     /// In-flight sequences evicted because a chip holding their KV died.
@@ -182,9 +182,10 @@ pub struct BatchRunReport {
     /// *logical* footprint (what dense caches of the same fill would
     /// occupy); shared pages are counted once per referencing sequence.
     pub peak_kv_bytes_fp16: u64,
-    /// Largest physically private KV footprint at fp16 storage, bytes:
-    /// pages owned exclusively by resident sequences. The gap to
-    /// `peak_kv_bytes_fp16` is capacity recovered by prefix sharing.
+    /// Largest footprint of privately owned KV pages at fp16, bytes.
+    /// Page-granular (can exceed `peak_kv_bytes_fp16` without sharing)
+    /// and excluding every page committed to the prefix pool, so the gap
+    /// between the two is not the capacity sharing recovered.
     pub peak_kv_owned_bytes_fp16: u64,
     /// Prefix-reuse counters (all zero when the engine runs dense).
     pub prefix: PrefixStats,

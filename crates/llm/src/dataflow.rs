@@ -292,10 +292,10 @@ impl DataflowState {
         }
     }
 
-    /// Physically private KV bytes across all shards — pages shared
-    /// through a [`PagePool`] are charged once to the pool, so the gap
-    /// between this and [`kv_bytes_fp16`](Self::kv_bytes_fp16) is the
-    /// effective capacity gained by prefix reuse.
+    /// Bytes of the KV pages this state owns privately, across all shards.
+    /// Page-granular (can exceed [`kv_bytes_fp16`](Self::kv_bytes_fp16)
+    /// without sharing); pages held through a [`PagePool`] are charged to
+    /// the pool even when no other sequence reads them.
     pub fn kv_owned_bytes_fp16(&self) -> u64 {
         self.kv
             .iter()

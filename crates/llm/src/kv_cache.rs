@@ -226,9 +226,9 @@ impl KvCache {
         })
     }
 
-    /// Physically private bytes at fp16: full pages this cache owns
-    /// exclusively. Shared pages are charged once to the pool, which is
-    /// where paged prefix reuse turns into effective extra capacity.
+    /// Privately owned bytes at fp16: every page this cache owns, counted
+    /// whole however full it is. Pages held through the pool are charged
+    /// to the pool, even when no other cache reads them.
     pub fn owned_bytes_fp16(&self) -> u64 {
         let per_page = (self.page_floats() as u64).saturating_mul(2);
         let owned = self

@@ -5,7 +5,7 @@
 //! [`ServeError::QueueFull`] rejections), each mixed prefill/decode round
 //! is decided by the [`RoundPolicy`] that [`BatchScheduler::plan`] also
 //! steps, tokens stream out per sequence as [`ServeEvent`]s, and
-//! sequences can be cancelled mid-flight (their KV slot is freed exactly
+//! sequences can be cancelled mid-flight (any KV slot is freed exactly
 //! once). Offline replay
 //! ([`BatchedDataflowExecutor::run_with_scheduler`]) is this loop run
 //! over a closed, fault-free trace.
@@ -21,13 +21,16 @@
 //! identical to running each sequence alone
 //! (`tests/tests/online_differential.rs` checks both by property testing).
 //!
-//! Per-request time-to-first-token (TTFT) and inter-token gaps are
-//! recorded in virtual time and summarized as a p50/p99 [`SloReport`] —
-//! the serving-side metrics the RPU memory-wall analysis motivates.
+//! The server's append-only [`ServeEvent`] log, stamped in virtual time,
+//! is its only record of the run. [`OnlineServer::report`] folds from it
+//! the p50/p99 TTFT and inter-token-gap [`SloReport`] (the serving-side
+//! metrics the RPU memory-wall analysis motivates), the
+//! [`RecoveryStats`], every [`SequenceOutcome`] and the round log.
 //!
 //! Sequence lifecycle: `Queued → Prefilling → Decoding → Finished`, with
 //! `Cancelled` reachable from every live state and `QueueFull` rejections
-//! never entering the lifecycle at all.
+//! never entering the lifecycle at all. Every retirement is one
+//! [`ServeEvent::Retired`] carrying the terminal [`SeqState`].
 //!
 //! # Fault tolerance
 //!
@@ -240,18 +243,37 @@ impl SeqState {
     }
 }
 
-/// One observable serving event, stamped with virtual time. Drained in
-/// emission order via [`OnlineServer::poll_events`] — this is the
-/// streaming interface: a `Token` event is visible as soon as the round
-/// that produced it completes, long before the sequence finishes.
+/// One entry of the server's event log, stamped with virtual time.
+/// [`OnlineServer::poll_events`] returns the entries added since the last
+/// poll — the streaming interface: a `Token` event is visible as soon as
+/// the round that produced it completes, long before the sequence ends.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeEvent {
-    /// The sequence left the admission queue and took a KV slot.
+    /// The sequence left the admission queue for the round policy (its KV
+    /// slot is created at its first prefill budget).
     Admitted {
         /// Sequence handle.
         id: SeqId,
         /// Virtual time, seconds.
         t_s: f64,
+    },
+    /// One pipeline round ran; logged after its prefix commit, before
+    /// its `Token` events.
+    Round {
+        /// The round policy's slot assignment.
+        plan: RoundPlan,
+        /// Virtual time at the end of the round, seconds.
+        t_s: f64,
+        /// Degraded grid, or a straggler or link-fault stretch.
+        degraded: bool,
+        /// Link-fault retransmissions stretched the round.
+        link_retry: bool,
+        /// Sequences holding a KV slot during the round.
+        live_slots: usize,
+        /// Logical fp16 KV bytes of the slots that outlive the round.
+        kv_bytes_fp16: u64,
+        /// Bytes of the pages those slots own privately.
+        kv_owned_bytes_fp16: u64,
     },
     /// One streamed output token.
     Token {
@@ -261,21 +283,6 @@ pub enum ServeEvent {
         index: usize,
         /// The token id.
         token: u32,
-        /// Virtual time, seconds.
-        t_s: f64,
-    },
-    /// All requested tokens were streamed and the KV slot was freed.
-    Finished {
-        /// Sequence handle.
-        id: SeqId,
-        /// Virtual time, seconds.
-        t_s: f64,
-    },
-    /// The sequence was cancelled; a resident sequence's KV slot was
-    /// freed at this instant.
-    Cancelled {
-        /// Sequence handle.
-        id: SeqId,
         /// Virtual time, seconds.
         t_s: f64,
     },
@@ -305,25 +312,13 @@ pub enum ServeEvent {
         /// Virtual time, seconds.
         t_s: f64,
     },
-    /// The sequence's deadline expired; it was retired and any slot
-    /// freed.
-    DeadlineMissed {
+    /// The sequence reached a terminal state and any KV slot was freed.
+    /// Always the sequence's last event.
+    Retired {
         /// Sequence handle.
         id: SeqId,
-        /// Virtual time, seconds.
-        t_s: f64,
-    },
-    /// The sequence was shed from the queue under fault pressure.
-    Shed {
-        /// Sequence handle.
-        id: SeqId,
-        /// Virtual time, seconds.
-        t_s: f64,
-    },
-    /// Recovery retries were exhausted; the sequence was abandoned.
-    ChipLost {
-        /// Sequence handle.
-        id: SeqId,
+        /// The terminal state.
+        state: SeqState,
         /// Virtual time, seconds.
         t_s: f64,
     },
@@ -338,31 +333,21 @@ struct SeqRecord {
     /// round policy.
     slot: Option<SeqSlot>,
     arrival_s: f64,
-    admitted_s: Option<f64>,
-    first_token_s: Option<f64>,
-    prev_token_s: Option<f64>,
-    finish_s: Option<f64>,
     /// Tokens streamed so far (grown one per decode round).
     tokens: Vec<u32>,
     comm: CommCounters,
     /// Prefill panel accounting harvested from its slots.
     prefill: PrefillStats,
-    /// Times this sequence left the round policy, releasing any KV slot —
-    /// exactly once per admission (`slot_frees == admissions` always
-    /// holds at the end), 0 for queue-only lifetimes.
+    /// Times this sequence left the round policy, releasing any KV slot.
+    /// Kept apart from the event log so harnesses can check it against
+    /// the logged admissions (0 for queue-only lifetimes).
     slot_frees: u32,
-    /// Times this sequence was admitted to the round policy (initial
-    /// admission plus each post-eviction recovery).
-    admissions: u32,
     /// Completion deadline in virtual microseconds, from the fault plan.
     deadline: Option<u64>,
     /// Recovery re-admission attempts since the last eviction.
     retries: u32,
     /// Earliest virtual time the next recovery attempt may run.
     retry_at_s: f64,
-    /// True once a chip failure ever evicted this sequence: its latency
-    /// samples land in the degraded SLO rows from then on.
-    recovered: bool,
     /// The chip whose failure last evicted this sequence.
     evicted_by: Option<usize>,
     /// The evicted slot, parked between eviction and re-admission (keeps
@@ -381,11 +366,12 @@ pub struct SequenceOutcome {
     pub state: SeqState,
     /// Arrival time, virtual seconds.
     pub arrival_s: f64,
-    /// When the sequence took a KV slot (None if never admitted).
+    /// When the sequence entered the round policy (None if never
+    /// admitted); its KV slot comes at its first prefill budget.
     pub admitted_s: Option<f64>,
     /// Time to first token: first decode emission minus arrival.
     pub ttft_s: Option<f64>,
-    /// When the sequence finished or was cancelled.
+    /// When the sequence finished, was cancelled, or was retired by a fault.
     pub finish_s: Option<f64>,
     /// The streamed token ids, in emission order.
     pub tokens: Vec<u32>,
@@ -393,10 +379,11 @@ pub struct SequenceOutcome {
     pub comm: CommCounters,
     /// Prefill panels run while resident.
     pub prefill: PrefillStats,
-    /// KV-slot releases (exactly once per admission; see tests).
+    /// Departures from the round policy, each freeing any KV slot
+    /// (exactly once per admission; see tests).
     pub slot_frees: u32,
-    /// Times the sequence took a KV slot (1 + recoveries; equals
-    /// `slot_frees` for every retired sequence).
+    /// Times the sequence entered the round policy (1 + recoveries;
+    /// equals `slot_frees` for every retired sequence).
     pub admissions: u32,
     /// Typed fault outcome when the sequence was retired by a deadline,
     /// shedding, or an unrecoverable chip loss.
@@ -441,8 +428,10 @@ pub struct SloReport {
     /// Largest pooled KV footprint at fp16 storage, bytes (logical:
     /// shared pages counted once per referencing sequence).
     pub peak_kv_bytes_fp16: u64,
-    /// Largest physically private KV footprint, bytes. The gap to
-    /// `peak_kv_bytes_fp16` is capacity recovered by prefix sharing.
+    /// Largest footprint of privately owned KV pages, bytes. Page-granular
+    /// (can exceed `peak_kv_bytes_fp16` without sharing) and excluding
+    /// every page committed to the prefix pool, so the gap between the
+    /// two is not the capacity sharing recovered.
     pub peak_kv_owned_bytes_fp16: u64,
     /// Prefix-reuse counters (all zero for a dense engine).
     pub prefix: PrefixStats,
@@ -516,20 +505,12 @@ pub struct OnlineServer {
     /// index) in admission order, with the survivor grid's slot budget.
     policy: RoundPolicy,
     seqs: Vec<SeqRecord>,
-    events: VecDeque<ServeEvent>,
-    plans: Vec<RoundPlan>,
-    rounds: u64,
-    prefill_tokens: u64,
-    decoded_tokens: u64,
-    peak_resident: usize,
-    peak_kv_bytes: u64,
+    /// The append-only event log every report is folded from.
+    events: Vec<ServeEvent>,
+    /// Log length at the previous [`poll_events`](Self::poll_events).
+    polled: usize,
+    /// `QueueFull` refusals: they get no `SeqId`, so never reach the log.
     rejected: usize,
-    /// Healthy-mode latency samples.
-    ttfts: Vec<f64>,
-    gaps: Vec<f64>,
-    /// Degraded-mode latency samples (degraded round or evicted-ever).
-    ttfts_degraded: Vec<f64>,
-    gaps_degraded: Vec<f64>,
     /// The injected fault schedule (validated at construction).
     faults: FaultPlan,
     /// Chip failures sorted by time; `next_failure` indexes the first
@@ -542,11 +523,6 @@ pub struct OnlineServer {
     layout: DegradedLayout,
     /// Evicted sequences awaiting re-admission, FCFS.
     recovering: VecDeque<SeqId>,
-    recovery: RecoveryStats,
-    shed: usize,
-    chip_failures_applied: usize,
-    degraded_rounds: u64,
-    link_retry_rounds: u64,
     /// Submission attempts (accepted or not) — the index the fault
     /// plan's deadlines key on, so a trace's deadline targets stay stable
     /// regardless of rejections.
@@ -557,8 +533,6 @@ pub struct OnlineServer {
     /// the server's whole lifetime — and is flushed whole on chip death,
     /// since every committed page stripes across all 16 chips.
     prefix: Option<PrefixCache>,
-    /// Largest physically private KV footprint observed, bytes.
-    peak_kv_owned_bytes: u64,
 }
 
 impl OnlineServer {
@@ -617,35 +591,20 @@ impl OnlineServer {
             queue_capacity,
             engine,
             prefix,
-            peak_kv_owned_bytes: 0,
             now_s: 0.0,
             last_arrival_micros: 0,
             waiting: VecDeque::new(),
             policy: RoundPolicy::new(slots),
             seqs: Vec::new(),
-            events: VecDeque::new(),
-            plans: Vec::new(),
-            rounds: 0,
-            prefill_tokens: 0,
-            decoded_tokens: 0,
-            peak_resident: 0,
-            peak_kv_bytes: 0,
+            events: Vec::new(),
+            polled: 0,
             rejected: 0,
-            ttfts: Vec::new(),
-            gaps: Vec::new(),
-            ttfts_degraded: Vec::new(),
-            gaps_degraded: Vec::new(),
             faults,
             pending_failures,
             next_failure: 0,
             health,
             layout,
             recovering: VecDeque::new(),
-            recovery: RecoveryStats::default(),
-            shed: 0,
-            chip_failures_applied: 0,
-            degraded_rounds: 0,
-            link_retry_rounds: 0,
             submit_attempts: 0,
         })
     }
@@ -763,19 +722,13 @@ impl OnlineServer {
             request,
             state: SeqState::Queued,
             slot: None,
-            admitted_s: None,
-            first_token_s: None,
-            prev_token_s: None,
-            finish_s: None,
             tokens: Vec::new(),
             comm: CommCounters::default(),
             prefill: PrefillStats::default(),
             slot_frees: 0,
-            admissions: 0,
             deadline: self.faults.deadline_of(attempt),
             retries: 0,
             retry_at_s: 0.0,
-            recovered: false,
             evicted_by: None,
             parked: None,
             error: None,
@@ -785,9 +738,9 @@ impl OnlineServer {
     }
 
     /// Cancel a sequence. A queued sequence leaves the admission queue; a
-    /// resident one releases its KV slot immediately (exactly once). In
-    /// either case a [`ServeEvent::Cancelled`] is emitted and no further
-    /// tokens will stream.
+    /// resident one releases any KV slot immediately (exactly once). Either
+    /// way a [`SeqState::Cancelled`] [`ServeEvent::Retired`] is logged and
+    /// no further tokens stream.
     ///
     /// # Errors
     ///
@@ -802,17 +755,15 @@ impl OnlineServer {
             return Err(ServeError::AlreadyRetired { id });
         }
         self.retire(id, SeqState::Cancelled, None);
-        self.events.push_back(ServeEvent::Cancelled {
-            id,
-            t_s: self.now_s,
-        });
         Ok(())
     }
 
-    /// Drain pending events (admissions, streamed tokens, completions,
-    /// cancellations) in emission order.
+    /// The events logged since the previous call, in emission order. The
+    /// log itself keeps every event, so polling never changes a report.
     pub fn poll_events(&mut self) -> Vec<ServeEvent> {
-        self.events.drain(..).collect()
+        let new = self.events.get(self.polled..).unwrap_or_default().to_vec();
+        self.polled = self.events.len();
+        new
     }
 
     /// Run rounds until no sequence is queued, recovering, or resident.
@@ -951,12 +902,11 @@ impl OnlineServer {
                 // stale plan must not corrupt accounting).
                 continue;
             }
-            self.chip_failures_applied += 1;
             if let Ok(layout) = DegradedLayout::for_health(&self.health) {
                 self.policy.set_slots(layout.effective_slots(self.slots));
                 self.layout = layout;
             }
-            self.events.push_back(ServeEvent::ChipFailed {
+            self.events.push(ServeEvent::ChipFailed {
                 chip: f.chip,
                 t_s: self.now_s,
             });
@@ -987,9 +937,7 @@ impl OnlineServer {
             let Some(rec) = self.seqs.get_mut(id.0) else {
                 continue;
             };
-            self.recovery.evictions += 1;
             rec.state = SeqState::Recovering;
-            rec.recovered = true;
             rec.evicted_by = Some(chip);
             rec.retries = 0;
             rec.retry_at_s = self.now_s;
@@ -999,7 +947,7 @@ impl OnlineServer {
                 rec.parked = carcass;
             }
             self.recovering.push_back(id);
-            self.events.push_back(ServeEvent::Evicted {
+            self.events.push(ServeEvent::Evicted {
                 id,
                 chip,
                 t_s: self.now_s,
@@ -1017,11 +965,6 @@ impl OnlineServer {
                 break;
             };
             self.retire(id, SeqState::Shed, Some(ServeError::Shed { id }));
-            self.shed += 1;
-            self.events.push_back(ServeEvent::Shed {
-                id,
-                t_s: self.now_s,
-            });
         }
     }
 
@@ -1057,25 +1000,26 @@ impl OnlineServer {
             deadline_micros,
         };
         self.retire(id, SeqState::DeadlineMissed, Some(error));
-        self.events.push_back(ServeEvent::DeadlineMissed {
-            id,
-            t_s: self.now_s,
-        });
     }
 
     /// Retire live sequence `id` into terminal `state`: it leaves the
     /// admission queue, the recovery line and the round policy (freeing
-    /// any KV slot exactly once), and drops any parked carcass.
+    /// any KV slot exactly once), drops any parked carcass, and logs its
+    /// [`ServeEvent::Retired`].
     fn retire(&mut self, id: SeqId, state: SeqState, error: Option<ServeError>) {
         self.waiting.retain(|&w| w != id);
         self.recovering.retain(|&r| r != id);
         self.leave(id);
         if let Some(rec) = self.seqs.get_mut(id.0) {
             rec.state = state;
-            rec.finish_s = Some(self.now_s);
             rec.parked = None;
             rec.error = error;
         }
+        self.events.push(ServeEvent::Retired {
+            id,
+            state,
+            t_s: self.now_s,
+        });
     }
 
     /// Re-admit evicted sequences, FCFS with exponential backoff:
@@ -1110,13 +1054,7 @@ impl OnlineServer {
                 );
                 self.policy.admit(id.0, &resumed);
                 rec.state = SeqState::Prefilling;
-                rec.admissions += 1;
-                self.recovery.resumed += 1;
-                self.recovery.re_prefill_tokens = self
-                    .recovery
-                    .re_prefill_tokens
-                    .saturating_add(u64::from(resumed.prompt_tokens));
-                self.events.push_back(ServeEvent::Recovered {
+                self.events.push(ServeEvent::Recovered {
                     id,
                     t_s: self.now_s,
                 });
@@ -1127,11 +1065,6 @@ impl OnlineServer {
                     SeqState::ChipLost,
                     Some(ServeError::ChipLost { id, chip }),
                 );
-                self.recovery.failed += 1;
-                self.events.push_back(ServeEvent::ChipLost {
-                    id,
-                    t_s: self.now_s,
-                });
             } else {
                 rec.retries += 1;
                 // Exponential backoff in round time: 2, 4, … 64 rounds.
@@ -1160,9 +1093,7 @@ impl OnlineServer {
             self.waiting.pop_front();
             self.policy.admit(id.0, &rec.request.to_sim_request());
             rec.state = SeqState::Prefilling;
-            rec.admitted_s = Some(self.now_s);
-            rec.admissions += 1;
-            self.events.push_back(ServeEvent::Admitted {
+            self.events.push(ServeEvent::Admitted {
                 id,
                 t_s: self.now_s,
             });
@@ -1178,7 +1109,7 @@ impl OnlineServer {
         self.free_slot(id)
     }
 
-    /// Account `id`'s departure from the round policy — exactly one
+    /// Count `id`'s departure from the round policy — exactly one
     /// `slot_frees` per admission — and free its KV slot, if it has one:
     /// page grant released, counters harvested into its record.
     fn free_slot(&mut self, id: SeqId) -> Option<SeqSlot> {
@@ -1197,8 +1128,8 @@ impl OnlineServer {
 
     /// One pipeline round: the [`RoundPolicy`] assigns slots (creating a
     /// sequence's KV slot when it first gets prefill budget), the shared
-    /// batch machinery executes them, produced tokens stream out, and
-    /// completions leave.
+    /// batch machinery executes them, the round is logged, produced
+    /// tokens stream out, and completions retire.
     fn round(&mut self) {
         // Stragglers and link faults stretch round time. Fault-free runs
         // compute `round_s * 1.0 * 1.0`, exact in IEEE f64, so the clock
@@ -1209,15 +1140,8 @@ impl OnlineServer {
             .slowdown_at(self.now_s, |chip| health.is_alive(chip));
         let link_retries = self.faults.link_retries_at(self.now_s);
         let stretch = slowdown * retry_round_factor(link_retries);
-        let degraded_round = self.health.is_degraded() || stretch > 1.0;
-        if degraded_round {
-            self.degraded_rounds = self.degraded_rounds.saturating_add(1);
-        }
-        if link_retries > 0 {
-            self.link_retry_rounds = self.link_retry_rounds.saturating_add(1);
-        }
+        let degraded = self.health.is_degraded() || stretch > 1.0;
         self.now_s += self.round_s * stretch;
-        self.rounds = self.rounds.saturating_add(1);
 
         // The policy's lazy prefix consult is the instant a sequence
         // takes its KV slot: a fresh one, or an evicted sequence's
@@ -1233,13 +1157,6 @@ impl OnlineServer {
             rec.slot = Some(slot);
             u32::try_from(matched).unwrap_or(u32::MAX)
         });
-        let live = self.seqs.iter().filter(|r| r.slot.is_some()).count();
-        self.peak_resident = self.peak_resident.max(live);
-        let plan = round.plan();
-        self.prefill_tokens = self.prefill_tokens.saturating_add(plan.prefill_slots());
-        // cast: per-round decode counts are small usize values, value-preserving in u64
-        let decoded = plan.decode.len() as u64;
-        self.decoded_tokens = self.decoded_tokens.saturating_add(decoded);
 
         // Execute the round through the shared (rayon-or-serial) batch
         // machinery, one disjoint `&mut` slot per step.
@@ -1276,13 +1193,39 @@ impl OnlineServer {
             }
         }
 
-        // Stream freshly decoded tokens and advance lifecycle states.
+        // Log the round before its tokens. Its KV footprint counts the
+        // slots that outlive the round: the commit above was the last
+        // change to them, so this is the pool after completions leave.
+        let live = self
+            .seqs
+            .iter()
+            .enumerate()
+            .filter_map(|(seq, r)| Some((seq, r.slot.as_ref()?)));
+        let live_slots = live.clone().count();
+        let (kv_bytes_fp16, kv_owned_bytes_fp16) = live
+            .filter(|(seq, _)| !round.finished.contains(seq))
+            .fold((0u64, 0u64), |(b, o), (_, s)| {
+                (
+                    b.saturating_add(s.state.kv_bytes_fp16()),
+                    o.saturating_add(s.state.kv_owned_bytes_fp16()),
+                )
+            });
         let now = self.now_s;
+        self.events.push(ServeEvent::Round {
+            plan: round.plan(),
+            t_s: now,
+            degraded,
+            link_retry: link_retries > 0,
+            live_slots,
+            kv_bytes_fp16,
+            kv_owned_bytes_fp16,
+        });
+
+        // Stream freshly decoded tokens and advance lifecycle states.
         for step in &round.steps {
             let Some(rec) = self.seqs.get_mut(step.seq) else {
                 continue;
             };
-            let id = SeqId(step.seq);
             if step.prefill_done && rec.state == SeqState::Prefilling {
                 rec.state = SeqState::Decoding;
             }
@@ -1292,70 +1235,140 @@ impl OnlineServer {
             let Some(&token) = rec.slot.as_ref().and_then(|s| s.out.last()) else {
                 continue;
             };
-            let index = rec.tokens.len();
-            rec.tokens.push(token);
-            // Latency samples from degraded rounds — or from sequences
-            // that ever went through eviction — land in the degraded SLO
-            // rows, keeping healthy percentiles honest under chaos.
-            let degraded_sample = degraded_round || rec.recovered;
-            if rec.first_token_s.is_none() {
-                rec.first_token_s = Some(now);
-                if degraded_sample {
-                    self.ttfts_degraded.push(now - rec.arrival_s);
-                } else {
-                    self.ttfts.push(now - rec.arrival_s);
-                }
-            }
-            if let Some(prev) = rec.prev_token_s {
-                if degraded_sample {
-                    self.gaps_degraded.push(now - prev);
-                } else {
-                    self.gaps.push(now - prev);
-                }
-            }
-            rec.prev_token_s = Some(now);
-            self.events.push_back(ServeEvent::Token {
-                id,
-                index,
+            self.events.push(ServeEvent::Token {
+                id: SeqId(step.seq),
+                index: rec.tokens.len(),
                 token,
                 t_s: now,
             });
+            rec.tokens.push(token);
         }
 
-        // Completions leave (freeing their KV slots), then the surviving
-        // pool footprint is accounted.
+        // Completions free their KV slots and retire.
         for &seq in &round.finished {
-            let id = SeqId(seq);
             // The policy already dropped it.
-            self.free_slot(id);
-            if let Some(rec) = self.seqs.get_mut(seq) {
-                rec.state = SeqState::Finished;
-                rec.finish_s = Some(now);
-            }
-            self.events.push_back(ServeEvent::Finished { id, t_s: now });
+            self.free_slot(SeqId(seq));
+            self.retire(SeqId(seq), SeqState::Finished, None);
         }
-        let slots = self.seqs.iter().filter_map(|r| r.slot.as_ref());
-        let (kv_bytes, kv_owned) = slots.fold((0u64, 0u64), |(b, o), s| {
-            (
-                b.saturating_add(s.state.kv_bytes_fp16()),
-                o.saturating_add(s.state.kv_owned_bytes_fp16()),
-            )
-        });
-        self.peak_kv_bytes = self.peak_kv_bytes.max(kv_bytes);
-        self.peak_kv_owned_bytes = self.peak_kv_owned_bytes.max(kv_owned);
-        self.plans.push(plan);
     }
 
-    /// Aggregate SLO statistics so far.
-    pub fn slo_report(&self) -> SloReport {
-        let mut ttfts = self.ttfts.clone();
-        ttfts.sort_by(f64::total_cmp);
-        let mut gaps = self.gaps.clone();
-        gaps.sort_by(f64::total_cmp);
-        let mut ttfts_degraded = self.ttfts_degraded.clone();
-        ttfts_degraded.sort_by(f64::total_cmp);
-        let mut gaps_degraded = self.gaps_degraded.clone();
-        gaps_degraded.sort_by(f64::total_cmp);
+    /// The full report: SLO summary, recovery accounting, per-sequence
+    /// outcomes and the round log, folded in one pass over the event log.
+    pub fn report(&self) -> ServeReport {
+        let mut outcomes: Vec<SequenceOutcome> = self
+            .seqs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| SequenceOutcome {
+                id: SeqId(i),
+                state: r.state,
+                arrival_s: r.arrival_s,
+                admitted_s: None,
+                ttft_s: None,
+                finish_s: None,
+                tokens: r.tokens.clone(),
+                comm: r.comm,
+                prefill: r.prefill,
+                slot_frees: r.slot_frees,
+                admissions: 0,
+                error: r.error,
+            })
+            .collect();
+        // Per sequence: its previous token's time and its prompt ++ emitted
+        // length, which a recovery re-prefills.
+        let mut streams: Vec<(Option<f64>, u32)> = self
+            .seqs
+            .iter()
+            .map(|r| (None, r.request.to_sim_request().prompt_tokens))
+            .collect();
+        let mut plans = Vec::new();
+        let mut recovery = RecoveryStats::default();
+        let (mut ttfts, mut gaps) = (Vec::new(), Vec::new());
+        let (mut ttfts_degraded, mut gaps_degraded) = (Vec::new(), Vec::new());
+        let (mut chip_failures, mut degraded_rounds, mut link_retry_rounds) = (0, 0u64, 0u64);
+        let (mut prefill_tokens, mut decoded_tokens) = (0u64, 0u64);
+        let (mut peak_resident, mut peak_kv_bytes, mut peak_kv_owned_bytes) = (0, 0u64, 0u64);
+        let mut degraded_round = false;
+        for event in &self.events {
+            match event {
+                ServeEvent::Admitted { id, t_s } => {
+                    if let Some(o) = outcomes.get_mut(id.0) {
+                        o.admitted_s = Some(*t_s);
+                        o.admissions += 1;
+                    }
+                }
+                ServeEvent::Round {
+                    plan,
+                    degraded,
+                    link_retry,
+                    live_slots,
+                    kv_bytes_fp16,
+                    kv_owned_bytes_fp16,
+                    ..
+                } => {
+                    degraded_round = *degraded;
+                    degraded_rounds = degraded_rounds.saturating_add(u64::from(*degraded));
+                    link_retry_rounds = link_retry_rounds.saturating_add(u64::from(*link_retry));
+                    prefill_tokens = prefill_tokens.saturating_add(plan.prefill_slots());
+                    // cast: per-round decode counts are small usize values, value-preserving in u64
+                    decoded_tokens = decoded_tokens.saturating_add(plan.decode.len() as u64);
+                    peak_resident = peak_resident.max(*live_slots);
+                    peak_kv_bytes = peak_kv_bytes.max(*kv_bytes_fp16);
+                    peak_kv_owned_bytes = peak_kv_owned_bytes.max(*kv_owned_bytes_fp16);
+                    plans.push(plan.clone());
+                }
+                ServeEvent::Token { id, t_s, .. } => {
+                    let (Some(o), Some((prev, context))) =
+                        (outcomes.get_mut(id.0), streams.get_mut(id.0))
+                    else {
+                        continue;
+                    };
+                    // Samples from degraded rounds land in the degraded
+                    // rows, keeping healthy percentiles honest under chaos.
+                    // That covers every evicted sequence: evictions follow
+                    // a chip death, and a dead chip stays dead.
+                    let (ttft_rows, gap_rows) = if degraded_round {
+                        (&mut ttfts_degraded, &mut gaps_degraded)
+                    } else {
+                        (&mut ttfts, &mut gaps)
+                    };
+                    match *prev {
+                        None => {
+                            let ttft = t_s - o.arrival_s;
+                            o.ttft_s = Some(ttft);
+                            ttft_rows.push(ttft);
+                        }
+                        Some(p) => gap_rows.push(t_s - p),
+                    }
+                    *prev = Some(*t_s);
+                    *context = context.saturating_add(1);
+                }
+                ServeEvent::ChipFailed { .. } => chip_failures += 1,
+                ServeEvent::Evicted { .. } => recovery.evictions += 1,
+                ServeEvent::Recovered { id, .. } => {
+                    recovery.resumed += 1;
+                    if let (Some(o), Some(&(_, context))) =
+                        (outcomes.get_mut(id.0), streams.get(id.0))
+                    {
+                        o.admissions += 1;
+                        recovery.re_prefill_tokens =
+                            recovery.re_prefill_tokens.saturating_add(context.into());
+                    }
+                }
+                ServeEvent::Retired { id, state, t_s } => {
+                    if let Some(o) = outcomes.get_mut(id.0) {
+                        o.finish_s = Some(*t_s);
+                    }
+                    recovery.failed += u64::from(*state == SeqState::ChipLost);
+                }
+            }
+        }
+        let sorted = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v
+        };
+        let (ttfts, gaps) = (sorted(ttfts), sorted(gaps));
+        let (ttfts_degraded, gaps_degraded) = (sorted(ttfts_degraded), sorted(gaps_degraded));
         let mean = |v: &[f64]| {
             if v.is_empty() {
                 0.0
@@ -1364,25 +1377,26 @@ impl OnlineServer {
                 v.iter().sum::<f64>() / v.len() as f64
             }
         };
-        let count = |s: SeqState| self.seqs.iter().filter(|r| r.state == s).count();
-        SloReport {
-            submitted: self.seqs.len(),
+        let count = |s: SeqState| outcomes.iter().filter(|o| o.state == s).count();
+        let slo = SloReport {
+            submitted: outcomes.len(),
             completed: count(SeqState::Finished),
             cancelled: count(SeqState::Cancelled),
             shed: count(SeqState::Shed),
             deadline_missed: count(SeqState::DeadlineMissed),
             chip_lost: count(SeqState::ChipLost),
-            chip_failures: self.chip_failures_applied,
-            recovery: self.recovery,
-            degraded_rounds: self.degraded_rounds,
-            link_retry_rounds: self.link_retry_rounds,
+            chip_failures,
+            recovery,
+            degraded_rounds,
+            link_retry_rounds,
             rejected: self.rejected,
-            rounds: self.rounds,
-            prefill_tokens: self.prefill_tokens,
-            decoded_tokens: self.decoded_tokens,
-            peak_resident: self.peak_resident,
-            peak_kv_bytes_fp16: self.peak_kv_bytes,
-            peak_kv_owned_bytes_fp16: self.peak_kv_owned_bytes,
+            // cast: round counts are small usize values, value-preserving in u64
+            rounds: plans.len() as u64,
+            prefill_tokens,
+            decoded_tokens,
+            peak_resident,
+            peak_kv_bytes_fp16: peak_kv_bytes,
+            peak_kv_owned_bytes_fp16: peak_kv_owned_bytes,
             prefix: match &self.prefix {
                 Some(c) => c.stats(),
                 None => PrefixStats::default(),
@@ -1390,7 +1404,7 @@ impl OnlineServer {
             makespan_s: self.now_s,
             decode_tokens_per_s_virtual: if self.now_s > 0.0 {
                 // cast: decoded-token counts stay far below 2^53, exact in f64
-                self.decoded_tokens as f64 / self.now_s
+                decoded_tokens as f64 / self.now_s
             } else {
                 0.0
             },
@@ -1404,34 +1418,11 @@ impl OnlineServer {
             ttft_degraded_p99_s: percentile(&ttfts_degraded, 0.99),
             tpot_degraded_p50_s: percentile(&gaps_degraded, 0.50),
             tpot_degraded_p99_s: percentile(&gaps_degraded, 0.99),
-        }
-    }
-
-    /// The full report: SLO summary, per-sequence outcomes, round log.
-    pub fn report(&self) -> ServeReport {
-        let outcomes = self
-            .seqs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| SequenceOutcome {
-                id: SeqId(i),
-                state: r.state,
-                arrival_s: r.arrival_s,
-                admitted_s: r.admitted_s,
-                ttft_s: r.first_token_s.map(|t| t - r.arrival_s),
-                finish_s: r.finish_s,
-                tokens: r.tokens.clone(),
-                comm: r.comm,
-                prefill: r.prefill,
-                slot_frees: r.slot_frees,
-                admissions: r.admissions,
-                error: r.error,
-            })
-            .collect();
+        };
         ServeReport {
-            slo: self.slo_report(),
+            slo,
             outcomes,
-            plans: self.plans.clone(),
+            plans,
         }
     }
 }
@@ -1557,8 +1548,8 @@ mod tests {
             .expect_err("queue of 1 is full");
         assert_eq!(err, ServeError::QueueFull { capacity: 1 });
         server.run_until_idle();
-        assert_eq!(server.slo_report().rejected, 1);
-        assert_eq!(server.slo_report().completed, 1);
+        assert_eq!(server.report().slo.rejected, 1);
+        assert_eq!(server.report().slo.completed, 1);
     }
 
     #[test]
@@ -1763,7 +1754,7 @@ mod tests {
 
     // ---- fault injection ----
 
-    use crate::fault::{Deadline, LinkFault, Straggler};
+    use crate::fault::{ChaosSpec, Deadline, LinkFault, Straggler};
 
     fn fault_server(queue_capacity: usize, faults: FaultPlan) -> OnlineServer {
         OnlineServer::with_faults(engine(), &scheduler(), queue_capacity, faults)
@@ -2033,5 +2024,114 @@ mod tests {
             "every sequence retired one way or the other"
         );
         assert!(slo.completed > 0);
+    }
+
+    /// The sequence an event belongs to, if any.
+    fn seq_of(event: &ServeEvent) -> Option<SeqId> {
+        match *event {
+            ServeEvent::Admitted { id, .. }
+            | ServeEvent::Token { id, .. }
+            | ServeEvent::Evicted { id, .. }
+            | ServeEvent::Recovered { id, .. }
+            | ServeEvent::Retired { id, .. } => Some(id),
+            ServeEvent::Round { .. } | ServeEvent::ChipFailed { .. } => None,
+        }
+    }
+
+    #[test]
+    fn event_log_is_the_whole_record_and_polling_never_changes_it() {
+        let n = 8;
+        let requests: Vec<SequenceRequest> = (0..n as u32)
+            .map(|i| SequenceRequest::greedy(u64::from(i) * 2_000, vec![1 + i, 7, 3], 40 + 8 * i))
+            .collect();
+        let spec = ChaosSpec {
+            horizon_micros: 20_000,
+            submissions: n,
+            chip_failures: 1,
+            stragglers: 1,
+            link_faults: 0,
+            deadlines: 1,
+            min_deadline_micros: 5_000,
+        };
+        let faults = FaultPlan::seeded(11, &spec);
+        // Submit each request at its arrival and cancel sequence 4 right
+        // after sequence 5 arrives; with `poll`, drain new events after
+        // every submit as well as at the end.
+        let drive = |poll: bool| {
+            let mut srv = fault_server(n, faults.clone());
+            let mut polled = Vec::new();
+            for req in &requests {
+                srv.advance_to(Some(micros_to_s(req.arrival_s_micros)));
+                let id = srv.submit(req.clone()).expect("the queue fits the trace");
+                if id == SeqId(5) {
+                    srv.cancel(SeqId(4)).expect("sequence 4 is still live");
+                }
+                if poll {
+                    polled.extend(srv.poll_events());
+                }
+            }
+            srv.run_until_idle();
+            polled.extend(srv.poll_events());
+            (srv, polled)
+        };
+        let (mut polled_srv, polled) = drive(true);
+        let (twin, log) = drive(false);
+        assert_eq!(polled, log);
+        assert_eq!(log, twin.events, "one final poll returns the whole log");
+        assert!(polled_srv.poll_events().is_empty());
+        let report = twin.report();
+        assert_eq!(format!("{:?}", polled_srv.report()), format!("{report:?}"));
+
+        // The seeded plan reaches every fault path the log records.
+        let slo = &report.slo;
+        assert_eq!(slo.chip_failures, 1);
+        assert!(slo.recovery.evictions > 0 && slo.recovery.resumed > 0);
+        assert!(slo.degraded_rounds > 0);
+        assert_eq!((slo.cancelled, slo.deadline_missed), (1, 1));
+
+        for o in &report.outcomes {
+            let mine: Vec<&ServeEvent> = log.iter().filter(|e| seq_of(e) == Some(o.id)).collect();
+            let retired = mine
+                .iter()
+                .filter(|e| matches!(e, ServeEvent::Retired { .. }))
+                .count();
+            assert_eq!(retired, 1, "{}", o.id);
+            assert!(
+                matches!(mine.last(), Some(ServeEvent::Retired { state, .. }) if *state == o.state),
+                "{} ends in its retirement",
+                o.id
+            );
+            let indices: Vec<usize> = mine
+                .iter()
+                .filter_map(|e| match e {
+                    ServeEvent::Token { index, .. } => Some(*index),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(indices, (0..o.tokens.len()).collect::<Vec<_>>());
+            let admissions = mine
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        ServeEvent::Admitted { .. } | ServeEvent::Recovered { .. }
+                    )
+                })
+                .count();
+            assert_eq!(admissions, o.slot_frees as usize, "{}", o.id);
+        }
+        let plans: Vec<&RoundPlan> = log
+            .iter()
+            .filter_map(|e| match e {
+                ServeEvent::Round { plan, .. } => Some(plan),
+                _ => None,
+            })
+            .collect();
+        let tokens = log
+            .iter()
+            .filter(|e| matches!(e, ServeEvent::Token { .. }))
+            .count();
+        assert_eq!(plans.iter().map(|p| p.decode.len()).sum::<usize>(), tokens);
+        assert_eq!(plans.len() as u64, slo.rounds);
     }
 }
